@@ -40,6 +40,7 @@ from ..circuits.generators import (
     random_single_output,
     ripple_carry_adder,
 )
+from ..dominators.shared import DEFAULT_BACKEND
 from ..graph.circuit import Circuit
 from ..graph.node import NodeType
 from ..graph.rewrite import expand_xors
@@ -299,7 +300,7 @@ def run_fuzz(
     inject_fault: Optional[Fault] = None,
     metrics=None,
     progress: Optional[Callable[[int, FuzzCase], None]] = None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> FuzzResult:
     """Run ``cases`` differential checks; shrink and dump any failure.
@@ -376,7 +377,7 @@ def _case_mismatches(
     brute_limit: int,
     metrics,
     result: FuzzResult,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> List[Mismatch]:
     if case.edits:
@@ -401,7 +402,7 @@ def _shrink_predicate(
     case: FuzzCase,
     brute_limit: int,
     inject_fault: Optional[Fault],
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
 ) -> Callable[[Circuit], bool]:
     """Failure predicate the shrinker minimizes against.
 

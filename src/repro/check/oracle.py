@@ -7,11 +7,13 @@ the O(1) ``(flag, index, min, max)`` membership test must flip exactly at
 the interval boundaries — the first and last matching vector positions —
 in both query directions.
 
-The chain itself is computed by **both construction backends** (the
-shared array-index backend and the legacy per-call subgraph backend, see
-:mod:`repro.dominators.shared`): every target's chain must be identical
-between them — not just the same pair set but the same pair vectors and
-intervals — so every fuzz case doubles as a backend-equivalence proof.
+The chain itself is computed by **two construction backends** (the
+primary, by default the production ``linear`` backend, and its
+counterpart — ``shared``, or ``legacy`` when the primary is ``shared``;
+see :mod:`repro.dominators.shared`): every target's chain must be
+identical between them — not just the same pair set but the same pair
+vectors and intervals — so every fuzz case doubles as a
+backend-equivalence proof.
 
 A disagreement is reported as a :class:`Mismatch` record instead of an
 exception so a fuzzing run can keep going, collect everything, and hand
@@ -31,7 +33,7 @@ from ..core.bruteforce import all_double_dominators
 from ..core.chain import DominatorChain
 from ..dominators import kernels as kernels_mod
 from ..dominators.dynamic import certify_tree
-from ..dominators.shared import validate_backend
+from ..dominators.shared import DEFAULT_BACKEND, validate_backend
 from ..errors import ReproError
 from ..graph.circuit import Circuit
 from ..graph.indexed import IndexedGraph
@@ -93,11 +95,11 @@ class Mismatch:
     kind:
         Discriminator: ``chain-vs-brute``, ``baseline-vs-brute``,
         ``chain-vs-baseline``, ``lookup`` (the O(1) membership structure
-        disagrees with the chain's own pair set), ``backend`` (the shared
-        and legacy chain backends disagree), ``kernels`` (the numpy and
-        python hot-path implementations disagree), ``incremental``,
-        ``certificate`` (the dominator tree fails its low-high
-        certificate), ``prefilter`` (the biconnectivity pre-filter
+        disagrees with the chain's own pair set), ``backend`` (the
+        primary and counterpart chain backends disagree), ``kernels``
+        (the numpy and python hot-path implementations disagree),
+        ``incremental``, ``certificate`` (the dominator tree fails its
+        low-high certificate), ``prefilter`` (the biconnectivity pre-filter
         certified a cone pair-free but pairs exist), ``sequential``
         (a combinational-core chain disagrees with the frame-0 chain of
         the time-frame unrolling) or ``crash`` (an implementation raised
@@ -309,7 +311,7 @@ def check_cone(
     chain_fn: Optional[ChainFn] = None,
     report: Optional[OracleReport] = None,
     metrics=None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> List[Mismatch]:
     """Differential check of one single-output cone.
@@ -326,8 +328,8 @@ def check_cone(
         rely on chain-vs-baseline cross-checking only.
     chain_fn:
         Override for the chain producer — the fault-injection hook the
-        harness's own tests use.  Defaults to a shared
-        :class:`ChainComputer`.  Providing it disables the
+        harness's own tests use.  Defaults to a
+        :class:`ChainComputer` on ``backend``.  Providing it disables the
         backend-equivalence comparison (the oracle cannot know which
         backend the override represents).
     backend:
@@ -540,7 +542,7 @@ def check_circuit(
     algorithm: str = "lt",
     brute_limit: int = DEFAULT_BRUTE_LIMIT,
     metrics=None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> OracleReport:
     """Differential check of every requested output cone of a netlist."""
@@ -567,7 +569,7 @@ def check_incremental(
     output: Optional[str] = None,
     algorithm: str = "lt",
     metrics=None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     engine: str = "patch",
 ) -> List[Mismatch]:
     """Cross-check the incremental engine against from-scratch results.
@@ -676,7 +678,7 @@ def check_sequential(
     frames: int = 2,
     algorithm: str = "lt",
     metrics=None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> OracleReport:
     """Kind ``sequential``: core vs. unrolled-frame-0 chain agreement.

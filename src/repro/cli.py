@@ -75,7 +75,7 @@ from .core.algorithm import ChainComputer
 from .core.api import count_double_dominators, count_single_dominators
 from .dominators.dynamic import ENGINES, validate_engine
 from .dominators.kernels import KERNELS, validate_kernels
-from .dominators.shared import BACKENDS, validate_backend
+from .dominators.shared import BACKENDS, DEFAULT_BACKEND, validate_backend
 from .analysis.biconnectivity import VALID_PREFILTERS, validate_prefilter
 from .errors import ReproError
 from .graph.circuit import Circuit
@@ -377,8 +377,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         forwarded.extend(["--jobs", str(args.jobs)])
     if args.seed is not None:
         forwarded.extend(["--seed", str(args.seed)])
-    if args.backend != "shared":
-        forwarded.extend(["--backend", args.backend])
+    forwarded.extend(["--backend", args.backend])
     return table1.main(forwarded)
 
 
@@ -401,7 +400,7 @@ def _make_executor(args: argparse.Namespace):
         ExecutorConfig(
             jobs=args.jobs,
             timeout=args.timeout,
-            backend=getattr(args, "backend", "shared"),
+            backend=getattr(args, "backend", DEFAULT_BACKEND),
             kernels=getattr(args, "kernels", "python"),
             prefilter=getattr(args, "prefilter", "none"),
         ),
@@ -621,7 +620,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     service = DaemonService(
         ServiceConfig(
             jobs=args.jobs,
-            backend=getattr(args, "backend", "shared"),
+            backend=getattr(args, "backend", DEFAULT_BACKEND),
             kernels=getattr(args, "kernels", "python"),
             engine=getattr(args, "engine", "patch"),
             use_shared_memory=not args.no_shared_memory,
@@ -823,19 +822,20 @@ def _add_kernels_flag(parser: argparse.ArgumentParser) -> None:
         metavar="{%s}" % ",".join(KERNELS),
         help="hot-path implementation: pure python (default, always "
         "available) or numpy flat-array kernels for the tree pass and "
-        "wide shared-backend regions (identical chains)",
+        "wide regions (identical chains)",
     )
 
 
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        default="shared",
+        default=DEFAULT_BACKEND,
         type=backend_arg,
         metavar="{%s}" % ",".join(BACKENDS),
-        help="chain-construction backend: one shared array index per "
-        "circuit version (default), the legacy per-call subgraphs, or "
-        "the linear-time all-pairs construction",
+        help="chain-construction backend: the linear-time all-pairs "
+        "construction (default), per-pair max-flow over one shared "
+        "array index per circuit version, or the legacy per-call "
+        "subgraphs",
     )
 
 

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from ..dominators import kernels as _kernels
 from ..dominators.linear import LinearScratch, region_chain_pairs
 from ..dominators.shared import (
+    DEFAULT_BACKEND,
     RegionMatcher,
     SharedConeIndex,
     validate_backend,
@@ -45,8 +46,8 @@ def _expand_region(
     """All chain pairs inside one search region, in chain order."""
     if region.is_trivial:
         # Fewer than two interior vertices: no size-two cut can exist, so
-        # the region contributes no pairs (common for consecutive chain
-        # vertices joined by a direct edge).
+        # the region contributes no pairs.  ChainComputer already skips
+        # the single-fanout edge regions; this catches the rest.
         return []
     results: List[RegionPair] = []
     if backend == "linear":
@@ -157,16 +158,16 @@ class ChainComputer:
         ``core.region_expansions`` — the serving layer's view into the
         algorithmic hot path.
     backend:
-        ``"shared"`` (default) runs region extraction, restricted-graph
-        ``C − v`` chains and the split flow network as views over one
-        per-version array index (:mod:`repro.dominators.shared`);
-        ``"legacy"`` keeps the original per-call subgraph copies;
-        ``"linear"`` extracts regions from the same shared index but
-        replaces the per-pair max-flow and per-element restricted-idom
-        walks with one linear pass per region
-        (:mod:`repro.dominators.linear`).  All three produce identical
-        chains (the differential oracle cross-checks them) — legacy
-        exists as the reference implementation.
+        ``"linear"`` (default, the production path) extracts regions
+        from one per-version array index
+        (:mod:`repro.dominators.shared`) and builds every pair of a
+        region in one linear pass (:mod:`repro.dominators.linear`);
+        ``"shared"`` runs per-pair max-flow and per-element
+        restricted-graph ``C − v`` chains over the same index;
+        ``"legacy"`` keeps the original per-call subgraph copies.  All
+        three produce identical chains (the differential oracle
+        cross-checks them) — legacy exists as the reference
+        implementation.
     shared_index:
         Set ``False`` to skip building the per-version
         :class:`~repro.dominators.shared.SharedConeIndex` and extract
@@ -177,10 +178,11 @@ class ChainComputer:
     kernels:
         ``"python"`` (default) keeps every pass on the pure-python hot
         path; ``"numpy"`` switches the cone tree pass to the metered
-        sweep and shared-backend regions at least
+        sweep and regions at least
         :data:`repro.dominators.kernels.MIN_KERNEL_REGION` wide to the
         flat-array kernels (:mod:`repro.dominators.kernels`) — region
-        extraction, min cut and matching vectors all vectorized.
+        extraction, min cut and matching vectors all vectorized —
+        whichever of ``shared``/``linear`` handles the narrow ones.
         Chains are bit-identical either way; the differential oracle
         cross-checks them.  Requires the shared index (and numpy).
     prefilter:
@@ -204,7 +206,7 @@ class ChainComputer:
         tree: Optional[DominatorTree] = None,
         region_cache: Optional[RegionCache] = None,
         metrics=None,
-        backend: str = "shared",
+        backend: str = DEFAULT_BACKEND,
         shared_index: bool = True,
         kernels: str = "python",
         prefilter: str = "none",
@@ -311,18 +313,21 @@ class ChainComputer:
 
     def _chain(self, u: int) -> DominatorChain:
         chain_vertices = self.tree.chain(u)
+        succ = self.graph.succ
         region_lists: List[List[RegionPair]] = []
         for start, sink in zip(chain_vertices, chain_vertices[1:]):
+            if len(succ[start]) == 1:
+                # Single fanout: the only successor lies on every path to
+                # the root, so it is ``sink``.  The region is the bare
+                # start→sink edge and holds no pair; skip it before any
+                # cache lookup or extraction.
+                continue
             if self.region_cache is not None:
                 cached = self.region_cache.lookup(start, sink)
                 if cached is not None:
                     region_lists.append(cached)
                     continue
-            if (
-                self.kernels == "numpy"
-                and self.backend == "shared"
-                and self._index is not None
-            ):
+            if self.kernels == "numpy":
                 expanded = self._kernel_region(start, sink)
                 if expanded is not None:
                     members, pairs = expanded
@@ -436,7 +441,7 @@ def dominator_chain(
     u: int,
     algorithm: str = "lt",
     tree: Optional[DominatorTree] = None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> DominatorChain:
     """Compute ``D(u)`` for a single target — the paper's entry point.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..dominators.shared import DEFAULT_BACKEND
 from ..dominators.single import (
     circuit_dominator_tree,
     pi_dominator_vertices,
@@ -72,7 +73,7 @@ def chain_of(
     node: str,
     output: Optional[str] = None,
     algorithm: str = "lt",
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
 ) -> NamedDominatorChain:
     """Dominator chain of one node within one output cone.
 
@@ -116,7 +117,7 @@ def count_double_dominators(
     circuit: Circuit,
     algorithm: str = "lt",
     cache_regions: bool = True,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> int:
     """Table 1, Column 5 with the paper's algorithm.
@@ -157,7 +158,7 @@ def count_double_dominators_baseline(
 
 
 def dominator_counts(
-    circuit: Circuit, algorithm: str = "lt", backend: str = "shared"
+    circuit: Circuit, algorithm: str = "lt", backend: str = DEFAULT_BACKEND
 ) -> DominatorCounts:
     """Columns 4 and 5 of Table 1 for one circuit (new algorithm)."""
     return DominatorCounts(
@@ -170,7 +171,7 @@ def all_pi_chains(
     circuit: Circuit,
     output: Optional[str] = None,
     algorithm: str = "lt",
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
 ) -> Dict[str, NamedDominatorChain]:
     """Chains of every primary input of one cone, keyed by input name."""
     graph = IndexedGraph.from_circuit(circuit, output)

@@ -74,6 +74,13 @@ class SearchRegion:
         dominator is its direct successor — are decided without running
         the flow machinery at all.  This also keeps degenerate regions
         trivially deterministic.
+
+        The edge region has an O(1) test that needs no extraction: when
+        ``start`` has exactly one fanout, that fanout is on every path
+        to the root, so it is ``idom(start)`` and the region is the
+        bare edge.  :class:`~repro.core.algorithm.ChainComputer` skips
+        such cells before any cache lookup; :func:`search_regions`
+        still yields them, so the reference walk checks the shortcut.
         """
         return self.interior_size < 2
 

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..dominators.dynamic import validate_engine
 from ..dominators.kernels import validate_kernels
+from ..dominators.shared import DEFAULT_BACKEND, validate_backend
 from ..errors import ReproError
 from ..graph.circuit import Circuit, Node
 from ..graph.node import NodeType
@@ -71,7 +72,7 @@ class ServiceConfig:
     """Tuning knobs of one daemon instance."""
 
     jobs: int = 1
-    backend: str = "shared"
+    backend: str = DEFAULT_BACKEND
     kernels: str = "python"
     engine: str = "patch"
     use_shared_memory: bool = True
@@ -87,6 +88,7 @@ class ServiceConfig:
             raise ValueError(
                 f"chunk_size must be a positive integer, got {self.chunk_size}"
             )
+        validate_backend(self.backend)
         validate_engine(self.engine)
         validate_kernels(self.kernels)
 

@@ -2,7 +2,12 @@
 
 from . import dsu, iterative, lengauer_tarjan, naive, shared
 from .lengauer_tarjan import UNREACHABLE
-from .shared import BACKENDS, SharedConeIndex, validate_backend
+from .shared import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    SharedConeIndex,
+    validate_backend,
+)
 from .single import (
     circuit_dominator_tree,
     circuit_idoms,
@@ -15,6 +20,7 @@ from .tree import DominatorTree
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_BACKEND",
     "DominatorTree",
     "SharedConeIndex",
     "UNREACHABLE",

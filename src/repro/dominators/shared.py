@@ -63,6 +63,12 @@ from .tree import DominatorTree
 #:   per-pair max-flow and per-element ``C − v`` idom walks.
 BACKENDS = ("shared", "legacy", "linear")
 
+#: The production backend: every public entry point that takes
+#: ``backend=`` defaults to it.  ``linear`` beats ``shared`` on every
+#: circuit of BENCH_linear_backend.json; all three produce identical
+#: chains.
+DEFAULT_BACKEND = "linear"
+
 
 def validate_backend(backend: str) -> str:
     if backend not in BACKENDS:

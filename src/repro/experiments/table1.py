@@ -37,6 +37,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from ..core.algorithm import ChainComputer
 from ..core.baseline import baseline_double_dominators
+from ..dominators.shared import DEFAULT_BACKEND
 from ..dominators.single import (
     circuit_dominator_tree,
     pi_dominator_vertices,
@@ -72,7 +73,7 @@ def measure_circuit(
     circuit: Circuit,
     check: bool = False,
     jobs: int = 1,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
 ) -> Table1Row:
     """Run both algorithms over every output cone of one circuit.
 
@@ -177,7 +178,7 @@ def run_entry(
     scale: float = 1.0,
     check: bool = False,
     jobs: int = 1,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
 ) -> Table1Row:
     """Measure one suite benchmark and attach the paper's numbers."""
     row = measure_circuit(
@@ -196,7 +197,7 @@ def run_table1(
     verbose: bool = True,
     jobs: int = 1,
     seed: Optional[int] = None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
 ) -> List[Table1Row]:
     """Measure a set of suite benchmarks (all 30 by default).
 
@@ -331,7 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser.add_argument(
         "--backend",
-        default="shared",
+        default=DEFAULT_BACKEND,
         type=backend_arg,
         metavar="{%s}" % ",".join(BACKENDS),
         help="chain-construction backend for the t2 measurement",

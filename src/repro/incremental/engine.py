@@ -45,7 +45,7 @@ from ..dominators.dynamic import (
     certify_tree,
     validate_engine,
 )
-from ..dominators.shared import validate_backend
+from ..dominators.shared import DEFAULT_BACKEND, validate_backend
 from ..dominators.single import circuit_dominator_tree
 from ..dominators.tree import DominatorTree
 from ..errors import CircuitError
@@ -107,10 +107,10 @@ class IncrementalEngine:
     backend:
         Chain-construction backend handed to every
         :class:`~repro.core.algorithm.ChainComputer` the engine builds
-        (``"shared"`` default, ``"legacy"`` for the reference path).
-        Cached region entries are backend-agnostic — both backends
-        produce identical member orderings — so a session's cache
-        survives either choice.
+        (``"linear"`` default, ``"shared"`` max-flow, ``"legacy"`` for
+        the reference path).  Cached region entries are
+        backend-agnostic — every backend produces identical member
+        orderings — so a session's cache survives any choice.
     engine:
         Dominator-maintenance strategy for flushes.  ``"patch"``
         (default) is the original dirty-cone idom patch with
@@ -140,7 +140,7 @@ class IncrementalEngine:
         self,
         graph: IndexedGraph,
         algorithm: str = "lt",
-        backend: str = "shared",
+        backend: str = DEFAULT_BACKEND,
         engine: str = "patch",
         metrics=None,
     ):
@@ -172,7 +172,10 @@ class IncrementalEngine:
         # time).  A cell is (start, RegionEntry-identity); the chain is
         # valid while the tree chain visits the same cells and every cell
         # still holds the very same entry object (entries are immutable
-        # and replaced wholesale, so identity is a validity token).
+        # and replaced wholesale, so identity is a validity token).  A
+        # single-fanout cell is never expanded (ChainComputer skips it),
+        # so it is recorded with entry ``None`` and stays valid while its
+        # start still has exactly one fanout.
         self._chains: Dict[int, tuple] = {}
 
     @classmethod
@@ -181,7 +184,7 @@ class IncrementalEngine:
         circuit: Circuit,
         output: Optional[str] = None,
         algorithm: str = "lt",
-        backend: str = "shared",
+        backend: str = DEFAULT_BACKEND,
         engine: str = "patch",
         metrics=None,
     ) -> "IncrementalEngine":
@@ -442,19 +445,24 @@ class IncrementalEngine:
         assert self._computer is not None
         u = self.resolve(u)
         cells = self._computer.tree.chain(u)
+        succ = self.graph.succ
+        entry_for = self.cache.entry_for
         cached = self._chains.get(u)
         if cached is not None:
             chain, deps = cached
             if len(deps) == len(cells) - 1 and all(
                 start == cell
-                and entry is not None
-                and self.cache.entry_for(start) is entry
+                and (
+                    len(succ[start]) == 1
+                    if entry is None
+                    else entry_for(start) is entry
+                )
                 for (start, entry), cell in zip(deps, cells)
             ):
                 self.stats.chain_hits += 1
                 return chain
         chain = self._computer.chain(u)
-        deps = tuple((s, self.cache.entry_for(s)) for s in cells[:-1])
+        deps = tuple((s, entry_for(s)) for s in cells[:-1])
         self._chains[u] = (chain, deps)
         return chain
 

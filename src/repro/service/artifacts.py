@@ -52,7 +52,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from ..dominators.kernels import validate_kernels
-from ..dominators.shared import validate_backend
+from ..dominators.shared import DEFAULT_BACKEND, validate_backend
 from .hashing import safe_key
 from .metrics import MetricsRegistry
 
@@ -236,7 +236,7 @@ class ArtifactStore:
         self,
         circuit_key: str,
         output: str,
-        backend: str = "shared",
+        backend: str = DEFAULT_BACKEND,
         kernels: str = "python",
     ) -> Path:
         version = self.version(circuit_key)
@@ -255,7 +255,7 @@ class ArtifactStore:
         self,
         circuit_key: str,
         output: str,
-        backend: str = "shared",
+        backend: str = DEFAULT_BACKEND,
         kernels: str = "python",
     ) -> Optional[Dict[str, Dict[str, object]]]:
         """Stored ``{target_name: chain_dict}`` for a cone, if current.
@@ -291,7 +291,7 @@ class ArtifactStore:
         circuit_key: str,
         output: str,
         targets: Dict[str, Dict[str, object]],
-        backend: str = "shared",
+        backend: str = DEFAULT_BACKEND,
         kernels: str = "python",
     ) -> Path:
         """Persist one cone's chains (atomic). Returns the file path.

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.biconnectivity import validate_prefilter
 from ..core.algorithm import ChainComputer
 from ..dominators.kernels import validate_kernels
-from ..dominators.shared import cone_graph, validate_backend
+from ..dominators.shared import DEFAULT_BACKEND, cone_graph, validate_backend
 from ..graph.circuit import Circuit
 from ..graph.indexed import IndexedGraph
 from .artifacts import ArtifactStore
@@ -53,7 +53,7 @@ def sequential_cone_chains(
     output: str,
     targets: Optional[Sequence[str]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    backend: str = "shared",
+    backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
     prefilter: str = "none",
 ) -> Dict[str, Dict[str, object]]:
@@ -63,17 +63,17 @@ def sequential_cone_chains(
     fallback, and the sequential reference in tests, which is what makes
     "parallel == sequential" hold by construction.
 
-    With ``backend="shared"`` the cone itself comes out of the circuit's
-    :class:`~repro.dominators.shared.SharedCircuitIndex`, so a sweep over
-    *k* outputs converts the string-keyed netlist to int adjacency once
-    instead of *k* times.
+    Except under ``backend="legacy"`` the cone itself comes out of the
+    circuit's :class:`~repro.dominators.shared.SharedCircuitIndex`, so a
+    sweep over *k* outputs converts the string-keyed netlist to int
+    adjacency once instead of *k* times.
 
     ``prefilter="biconn"`` lets the :class:`ChainComputer` certify
     tree-skeleton cones empty before any region work; the answers are
     bit-identical to the computed ones (the filter is sound), so the
     setting does not enter artifact-store keys.
     """
-    if backend == "shared":
+    if backend != "legacy":
         graph = cone_graph(circuit, output)
     else:
         graph = IndexedGraph.from_circuit(circuit, output)
@@ -180,7 +180,8 @@ class ExecutorConfig:
         default.
     backend:
         Chain-construction backend used by every cone job
-        (``"shared"`` default, ``"legacy"`` for the reference path).
+        (``"linear"`` default, ``"shared"`` max-flow, ``"legacy"`` for
+        the reference path).
     kernels:
         Hot-path implementation selector forwarded to every
         :class:`~repro.core.algorithm.ChainComputer`: ``"python"``
@@ -208,7 +209,7 @@ class ExecutorConfig:
     timeout: Optional[float] = None
     chunk_size: Optional[int] = None
     start_method: Optional[str] = None
-    backend: str = "shared"
+    backend: str = DEFAULT_BACKEND
     shared_circuits: bool = False
     kernels: str = "python"
     prefilter: str = "none"

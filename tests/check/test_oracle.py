@@ -170,6 +170,25 @@ class TestBackendCrossCheck:
         with pytest.raises(ValueError):
             other_backend("turbo")
 
+    def test_default_primary_is_linear_crossed_with_shared(self, monkeypatch):
+        import repro.check.oracle as oracle_mod
+        from repro.check.fuzzer import run_fuzz
+
+        assert oracle_mod.other_backend("linear") == "shared"
+        built = []
+
+        class Recording(ChainComputer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append((self.backend, self.kernels))
+
+        monkeypatch.setattr(oracle_mod, "ChainComputer", Recording)
+        assert check_circuit(figure2_circuit()).ok
+        assert built[:2] == [("linear", "python"), ("shared", "python")]
+        built.clear()
+        assert run_fuzz(seed=0, cases=3).ok
+        assert built[:2] == [("linear", "python"), ("shared", "python")]
+
     def test_both_primary_backends_pass(self):
         for backend in ("shared", "legacy"):
             report = check_circuit(figure2_circuit(), backend=backend)

@@ -143,3 +143,57 @@ class TestChainShape:
                 common = common_chain(graph, list(prev.last))
                 assert common.dominates(nxt.first[0], nxt.first[1])
                 assert not set(nxt.first) & set(prev.last)
+
+
+class TestSingleFanoutShortcut:
+    """Cells whose entry has one fanout are skipped before any lookup."""
+
+    def test_default_backend_is_linear(self, fig2_graph):
+        from repro.dominators.shared import DEFAULT_BACKEND
+
+        assert DEFAULT_BACKEND == "linear"
+        assert ChainComputer(fig2_graph).backend == "linear"
+
+    def test_quick_suite_matches_every_backend_and_baseline(self):
+        from repro.check.oracle import diff_chains
+        from repro.circuits.suite import QUICK_SUBSET, table1_suite
+
+        suite = table1_suite()
+        for name in QUICK_SUBSET:
+            circuit = suite[name].circuit(0.1)
+            for out in circuit.outputs:
+                graph = IndexedGraph.from_circuit(circuit, out)
+                production = ChainComputer(graph)
+                references = [
+                    ChainComputer(graph, backend=b)
+                    for b in ("legacy", "shared")
+                ]
+                sources = graph.sources()
+                baseline = baseline_double_dominators(graph, sources)
+                for u in sources:
+                    chain = production.chain(u)
+                    for ref in references:
+                        divergence = diff_chains(chain, ref.chain(u))
+                        assert divergence is None, (name, out, u, divergence)
+                    assert chain.pair_set() == baseline[u], (name, out, u)
+
+    def test_single_fanout_cells_never_reach_the_cache(self, fig2_graph):
+        # Figure 2: e -> h -> t are single-fanout cells; only t's region
+        # (the {k, m} x {l, n} ladder) is looked up and expanded.
+        graph = fig2_graph
+        computer = ChainComputer(graph)
+        chain = computer.chain(graph.index_of("e"))
+        stats = computer.cache_stats
+        assert stats.lookups == 1 and stats.stores == 1
+        assert set(computer._region_cache) == {graph.index_of("t")}
+        assert chain.num_dominators() == 4
+
+    def test_skip_covers_region_between_path(self, fig2_graph):
+        graph = fig2_graph
+        tree = ChainComputer(graph).tree
+        indexed = ChainComputer(graph)
+        on_demand = ChainComputer(graph, tree=tree, shared_index=False)
+        for u in graph.sources():
+            assert indexed.chain(u).pair_set() == on_demand.chain(u).pair_set()
+        starts = set(on_demand._region_cache)
+        assert all(len(graph.succ[s]) > 1 for s in starts)

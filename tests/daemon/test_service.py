@@ -134,6 +134,13 @@ class TestLoadAndChain:
         # The service keeps answering after a failed request.
         assert service.handle(_request("stats"))["ok"]
 
+    def test_config_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            ServiceConfig(backend="bogus")
+
+    def test_default_backend_is_linear(self, service):
+        assert service.handle(_request("stats"))["result"]["backend"] == "linear"
+
 
 class TestSweepAndEdit:
     def test_inline_sweep_counts_pairs(self, service, circuit):

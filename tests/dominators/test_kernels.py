@@ -408,6 +408,22 @@ class TestKernelExpansion:
             computer.chains_for_sources()
         assert metrics.counter("core.kernel_regions").value > 0
 
+    def test_default_backend_routes_wide_regions_to_kernels(self):
+        # Kernel dispatch does not depend on the backend: under the
+        # default (linear) backend numpy still takes the wide regions.
+        from repro.service.metrics import MetricsRegistry
+
+        graph = _pipe_graph(stages=2, width=5)
+        metrics = MetricsRegistry()
+        python = ChainComputer(graph)
+        numpy_side = ChainComputer(graph, kernels="numpy", metrics=metrics)
+        assert numpy_side.backend == "linear"
+        with forced_region_threshold(0):
+            for u in graph.sources():
+                divergence = diff_chains(python.chain(u), numpy_side.chain(u))
+                assert divergence is None, f"{u}: {divergence}"
+        assert metrics.counter("core.kernel_regions").value > 0
+
     def test_narrow_region_punts_to_python(self):
         # A deep cascade's merge region spans tens of thousands of
         # levels at ~1.6 vertices each; one numpy call per level loses

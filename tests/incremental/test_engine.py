@@ -177,6 +177,39 @@ class TestInvalidationPrecision:
         assert engine.cache_stats.invalidations >= entries
 
 
+class TestSingleFanoutCells:
+    """Chains crossing never-expanded single-fanout cells (Figure 2:
+    ``e -> h -> t`` each have one fanout)."""
+
+    @pytest.mark.parametrize("kind", ["patch", "dynamic"])
+    def test_requery_without_edits_hits(self, kind):
+        engine = IncrementalEngine.from_circuit(figure2_circuit(), engine=kind)
+        first = engine.chain("e")
+        assert engine.cache.entry_for(engine.resolve("e")) is None
+        assert engine.chain("e") is first
+        assert engine.stats.chain_hits == 1
+
+    @pytest.mark.parametrize("kind", ["patch", "dynamic"])
+    def test_second_fanout_recomputes(self, kind):
+        engine = IncrementalEngine.from_circuit(figure2_circuit(), engine=kind)
+        before = engine.chain("e")
+        cells = engine.tree.chain(engine.resolve("e"))
+        # e now fans out to x and y, which reconverge at h: the tree
+        # chain keeps its cells, but {x, y} is a new pair of e.
+        engine.apply(
+            AddGate("x", ("e",), "buf"),
+            AddGate("y", ("e",), "not"),
+            Rewire("h", ("x", "y", "d")),
+        )
+        after = engine.chain("e")
+        assert engine.tree.chain(engine.resolve("e")) == cells
+        assert engine.stats.chain_hits == 0
+        assert after is not before
+        x, y = engine.resolve("x"), engine.resolve("y")
+        assert frozenset((x, y)) in after.pair_set()
+        assert_equivalent(engine)
+
+
 class TestErrors:
     def test_unknown_fanin(self, engine):
         with pytest.raises(UnknownNodeError):

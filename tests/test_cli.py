@@ -640,3 +640,25 @@ class TestSequentialFlag:
             return None
 
         assert pair_total(plain) == pair_total(filtered) is not None
+
+
+class TestTable1BackendForwarding:
+    """``repro table1`` hands ``--backend`` to the experiment as given."""
+
+    @pytest.mark.parametrize(
+        "flags, backend",
+        [
+            ([], "linear"),
+            (["--backend", "shared"], "shared"),
+            (["--backend", "legacy"], "legacy"),
+            (["--backend", "linear"], "linear"),
+        ],
+    )
+    def test_backend_reaches_table1_main(self, flags, backend, monkeypatch):
+        from repro.experiments import table1
+
+        seen = []
+        monkeypatch.setattr(table1, "main", lambda argv: seen.append(argv) or 0)
+        assert main(["table1", "--quick", *flags]) == 0
+        argv = seen[0]
+        assert argv[argv.index("--backend") + 1] == backend
