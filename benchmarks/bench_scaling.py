@@ -14,19 +14,24 @@ checked-in report::
 
     python benchmarks/bench_scaling.py --out BENCH_scaling.json
     python benchmarks/bench_scaling.py --tier mid --repeats 5 \
-        --min-kernel-speedup 1.0
+        --min-kernel-speedup 1.0 --min-linear-vs-shared 1.0
 
 Per entry the script builds the circuit once, then measures one
-dominator-chain query twice per kernels setting: *cold* (the shared
+dominator-chain query twice per configuration: *cold* (the shared
 cone index is dropped first, so the time includes the index build) and
 *warm* (best-of-``--repeats`` on the cached index, region cache off —
-the steady-state serving cost).  The python and numpy chains are
-cross-checked with :func:`repro.check.oracle.diff_chains`; any
-divergence aborts with exit 1.  The ``--min-kernel-speedup`` gate
+the steady-state serving cost).  Three configurations run: the
+``shared`` backend under both kernels settings (keys ``python`` and
+``numpy``) and the default ``linear`` backend on python kernels (key
+``linear``).  The numpy and linear chains are cross-checked against
+the shared python chain with :func:`repro.check.oracle.diff_chains`;
+any divergence aborts with exit 1.  The ``--min-kernel-speedup`` gate
 compares aggregate *warm* times over the entries where the kernels
 actually engaged (``core.kernel_regions > 0``) — deep-and-narrow
 entries like ``cascade_mega`` have sub-threshold regions everywhere,
-so they are reported but excluded from the gated ratio.
+so they are reported but excluded from the gated ratio.  The
+``--min-linear-vs-shared`` gate compares aggregate warm times of
+``linear`` and shared ``python`` over every entry.
 """
 
 import argparse
@@ -94,7 +99,12 @@ def test_multiplier_baseline(benchmark, width):
 # ----------------------------------------------------------------------
 # script mode: numpy kernels vs python hot path on the scaling tiers
 # ----------------------------------------------------------------------
-_KERNELS = ("python", "numpy")
+#: Report key -> ``(backend, kernels)`` of each measured configuration.
+_CONFIGS = {
+    "python": ("shared", "python"),
+    "numpy": ("shared", "numpy"),
+    "linear": ("linear", "python"),
+}
 
 
 def _pick_target(graph):
@@ -109,12 +119,13 @@ def _pick_target(graph):
 
 
 def measure_entry(entry, repeats=3):
-    """Cold and warm chain timings for one scaling entry, both kernels.
+    """Cold and warm chain timings for one scaling entry, every config.
 
     Returns the report row.  Cold drops the cached shared index first,
-    so both kernels pay the full index build; warm reuses the index
-    with the region cache off and keeps the best of ``repeats`` runs.
-    The numpy chain must be bit-identical to the python chain.
+    so every configuration pays the full index build; warm reuses the
+    index with the region cache off and keeps the best of ``repeats``
+    runs.  The numpy and linear chains must be bit-identical to the
+    shared python chain.
     """
     from repro.check.oracle import diff_chains
     from repro.service import MetricsRegistry
@@ -125,37 +136,38 @@ def measure_entry(entry, repeats=3):
     warm = {}
     chains = {}
     kernel_regions = 0
-    for kern in _KERNELS:
+    for key, (backend, kern) in _CONFIGS.items():
         graph._shared_index = None
         start = time.perf_counter()
-        computer = ChainComputer(graph, backend="shared", kernels=kern)
-        chains[kern] = computer.chain(target)
-        cold[kern] = time.perf_counter() - start
+        computer = ChainComputer(graph, backend=backend, kernels=kern)
+        chains[key] = computer.chain(target)
+        cold[key] = time.perf_counter() - start
         best = None
         for _ in range(repeats):
             metrics = MetricsRegistry()
             start = time.perf_counter()
             computer = ChainComputer(
                 graph,
-                backend="shared",
+                backend=backend,
                 cache_regions=False,
                 kernels=kern,
                 metrics=metrics,
             )
-            chains[kern] = computer.chain(target)
+            chains[key] = computer.chain(target)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
-            if kern == "numpy":
+            if key == "numpy":
                 kernel_regions = metrics.counter(
                     "core.kernel_regions"
                 ).value
-        warm[kern] = best
-    divergence = diff_chains(chains["python"], chains["numpy"])
-    if divergence is not None:
-        raise AssertionError(
-            f"{entry.name}: numpy chain diverges from python "
-            f"({divergence})"
-        )
+        warm[key] = best
+    for key in ("numpy", "linear"):
+        divergence = diff_chains(chains["python"], chains[key])
+        if divergence is not None:
+            raise AssertionError(
+                f"{entry.name}: {key} chain diverges from shared python "
+                f"({divergence})"
+            )
     return {
         "name": entry.name,
         "gates": graph.n,
@@ -164,6 +176,7 @@ def measure_entry(entry, repeats=3):
         "cold_seconds": {k: round(s, 6) for k, s in cold.items()},
         "warm_seconds": {k: round(s, 6) for k, s in warm.items()},
         "warm_speedup": round(warm["python"] / warm["numpy"], 3),
+        "linear_vs_shared": round(warm["python"] / warm["linear"], 3),
         "kernel_regions": kernel_regions,
         "kernel_engaged": kernel_regions > 0,
     }
@@ -182,13 +195,15 @@ def run_scaling_comparison(entries, repeats=3):
         rows.append(row)
         print(
             "  {:14s} n={:>9,}  warm py {:8.3f}s  np {:8.3f}s  "
-            "-> {:5.2f}x{}".format(
+            "-> {:5.2f}x{}  linear {:8.3f}s -> {:5.2f}x".format(
                 row["name"],
                 row["gates"],
                 row["warm_seconds"]["python"],
                 row["warm_seconds"]["numpy"],
                 row["warm_speedup"],
                 "" if row["kernel_engaged"] else "  (kernels idle)",
+                row["warm_seconds"]["linear"],
+                row["linear_vs_shared"],
             ),
             file=sys.stderr,
         )
@@ -196,10 +211,13 @@ def run_scaling_comparison(entries, repeats=3):
     total = {
         "warm_seconds": {
             k: round(sum(r["warm_seconds"][k] for r in rows), 6)
-            for k in _KERNELS
+            for k in _CONFIGS
         },
         "gated_entries": [r["name"] for r in gated],
     }
+    total["linear_vs_shared"] = round(
+        total["warm_seconds"]["python"] / total["warm_seconds"]["linear"], 3
+    )
     if gated:
         total["kernel_speedup"] = round(
             sum(r["warm_seconds"]["python"] for r in gated)
@@ -208,8 +226,9 @@ def run_scaling_comparison(entries, repeats=3):
         )
     return {
         "workload": (
-            "one dominator chain per scaling circuit, shared backend, "
-            "kernels python vs numpy"
+            "one dominator chain per scaling circuit: shared backend "
+            "with kernels python vs numpy, and the default linear "
+            "backend on python kernels"
         ),
         "repeats": repeats,
         "timing": (
@@ -250,6 +269,15 @@ def main(argv=None):
         help=(
             "exit 1 when the aggregate warm numpy speedup over "
             "kernel-engaged entries falls below this"
+        ),
+    )
+    parser.add_argument(
+        "--min-linear-vs-shared",
+        type=float,
+        default=None,
+        help=(
+            "exit 1 when the aggregate warm shared-python over linear "
+            "time ratio falls below this"
         ),
     )
     args = parser.parse_args(argv)
@@ -301,6 +329,14 @@ def main(argv=None):
                     f"--min-kernel-speedup gate "
                     f"{args.min_kernel_speedup}x"
                 )
+    if args.min_linear_vs_shared is not None:
+        ratio = total["linear_vs_shared"]
+        print(f"aggregate linear vs shared {ratio}x", file=sys.stderr)
+        if ratio < args.min_linear_vs_shared:
+            failures.append(
+                f"linear vs shared {ratio}x is below the "
+                f"--min-linear-vs-shared gate {args.min_linear_vs_shared}x"
+            )
     print(f"report -> {args.out}", file=sys.stderr)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..dominators import kernels as _kernels
-from ..dominators.linear import LinearScratch, region_chain_pairs
+from ..dominators.linear import ConeScratch, region_chain_pairs
 from ..dominators.shared import (
     DEFAULT_BACKEND,
     RegionMatcher,
@@ -41,34 +41,20 @@ def _expand_region(
     region: SearchRegion,
     algorithm: str,
     backend: str = "legacy",
-    scratch=None,
 ) -> List[RegionPair]:
-    """All chain pairs inside one search region, in chain order."""
+    """All chain pairs inside one search region, in chain order.
+
+    The DOUBLEIDOM loop of the ``shared`` and ``legacy`` backends; the
+    ``linear`` backend never extracts a region and calls
+    :func:`~repro.dominators.linear.region_chain_pairs` on the cone
+    instead.
+    """
     if region.is_trivial:
         # Fewer than two interior vertices: no size-two cut can exist, so
         # the region contributes no pairs.  ChainComputer already skips
         # the single-fanout edge regions; this catches the rest.
         return []
     results: List[RegionPair] = []
-    if backend == "linear":
-        # One flow-of-two + residual-SCC pass yields every pair of the
-        # region at once (repro.dominators.linear) — no per-pair
-        # DOUBLEIDOM restarts, no per-element C − v idom chains.  The
-        # caller's LinearScratch (if any) is reused across regions.
-        for side1, side2, intervals in region_chain_pairs(
-            region.graph, region.local_start, scratch
-        ):
-            results.append(
-                (
-                    [region.orig_of[x] for x in side1],
-                    [region.orig_of[x] for x in side2],
-                    {
-                        region.orig_of[x]: interval
-                        for x, interval in intervals.items()
-                    },
-                )
-            )
-        return results
     sources = [region.local_start]
     if backend == "shared":
         solver = RegionCutSolver(region.graph, limit=3)
@@ -158,23 +144,25 @@ class ChainComputer:
         ``core.region_expansions`` — the serving layer's view into the
         algorithmic hot path.
     backend:
-        ``"linear"`` (default, the production path) extracts regions
-        from one per-version array index
-        (:mod:`repro.dominators.shared`) and builds every pair of a
-        region in one linear pass (:mod:`repro.dominators.linear`);
-        ``"shared"`` runs per-pair max-flow and per-element
-        restricted-graph ``C − v`` chains over the same index;
+        ``"linear"`` (default, the production path) builds every pair
+        of a region in one linear pass over the cone's own arrays
+        (:mod:`repro.dominators.linear`), with no region extraction;
+        ``"shared"`` extracts regions from one per-version array index
+        (:mod:`repro.dominators.shared`) and runs per-pair max-flow and
+        per-element restricted-graph ``C − v`` chains over them;
         ``"legacy"`` keeps the original per-call subgraph copies.  All
         three produce identical chains (the differential oracle
         cross-checks them) — legacy exists as the reference
         implementation.
     shared_index:
         Set ``False`` to skip building the per-version
-        :class:`~repro.dominators.shared.SharedConeIndex` and extract
-        each region on demand (identical chains, no O(n + m) setup) —
-        the mode the dynamic incremental engine runs in, where the
-        graph version changes every flush.  Requires ``tree`` to be
-        supplied for the shared/linear backends to stay O(1) to build.
+        :class:`~repro.dominators.shared.SharedConeIndex` (identical
+        chains, no O(n + m) setup): ``linear`` then runs its pass with a
+        scratch of this computer's own, the other backends extract each
+        region on demand — the mode the dynamic incremental engine runs
+        in, where the graph version changes every flush.  Requires
+        ``tree`` to be supplied for the shared/linear backends to stay
+        O(1) to build.
     kernels:
         ``"python"`` (default) keeps every pass on the pure-python hot
         path; ``"numpy"`` switches the cone tree pass to the metered
@@ -237,14 +225,15 @@ class ChainComputer:
                     "(shared_index=True and backend 'shared' or "
                     "'linear')"
                 )
-        # The linear backend reuses the shared index for region
-        # extraction and the cone dominator tree; only the per-region
-        # pair construction differs.  ``shared_index=False`` skips the
-        # index and extracts regions per query with ``region_between``
-        # instead: the index is an O(n + m) build keyed on the graph
-        # version, which the dynamic incremental engine cannot afford
-        # once per flush.  Both extractions assign region-local ids in
-        # ascending original-id order, so chains stay bit-identical.
+        # The linear backend reuses the shared index for the cone
+        # dominator tree and the cone's scratch arrays; its regions are
+        # never extracted.  ``shared_index=False`` skips the index: it is
+        # an O(n + m) build keyed on the graph version, which the dynamic
+        # incremental engine cannot afford once per flush.  The other
+        # backends then extract regions per query with
+        # ``region_between``, the linear pass walks the cone with a
+        # scratch of the computer's own.  Every path orders ties by cone
+        # id, so chains stay bit-identical.
         self._index = (
             SharedConeIndex.for_graph(graph, algorithm, kernels)
             if shared_index
@@ -252,10 +241,13 @@ class ChainComputer:
             and not self.certified_empty
             else None
         )
-        # One epoch-stamped scratch shared by every linear-backend
-        # region expansion of this computer (grown to the largest
-        # region, never cleared — see LinearScratch).
-        self._scratch = LinearScratch() if backend == "linear" else None
+        self._scratch: Optional[ConeScratch] = None
+        if backend == "linear" and not self.certified_empty:
+            self._scratch = (
+                self._index.scratch
+                if self._index is not None
+                else ConeScratch()
+            )
         if tree is not None:
             self._tree: Optional[DominatorTree] = tree
         elif self._index is not None:
@@ -338,34 +330,36 @@ class ChainComputer:
                         self.region_cache.store(start, sink, members, pairs)
                     region_lists.append(pairs)
                     continue
-            if self._index is not None:
-                view, orig_of, local_start = self._index.extract_region(
-                    start, sink
-                )
-                region = SearchRegion(
-                    start=start,
-                    sink=sink,
-                    graph=view,
-                    orig_of=orig_of,
-                    local_start=local_start,
+            if self._scratch is not None:
+                members, expanded = region_chain_pairs(
+                    self.graph, start, sink, self._scratch
                 )
             else:
-                sub, orig_of = region_between(self.graph, start, sink)
-                local_of = {orig: i for i, orig in enumerate(orig_of)}
-                region = SearchRegion(
-                    start=start,
-                    sink=sink,
-                    graph=sub,
-                    orig_of=orig_of,
-                    local_start=local_of[start],
-                )
-            expanded = _expand_region(
-                region, self.algorithm, self.backend, self._scratch
-            )
+                if self._index is not None:
+                    view, members, local_start = self._index.extract_region(
+                        start, sink
+                    )
+                    region = SearchRegion(
+                        start=start,
+                        sink=sink,
+                        graph=view,
+                        orig_of=members,
+                        local_start=local_start,
+                    )
+                else:
+                    sub, members = region_between(self.graph, start, sink)
+                    region = SearchRegion(
+                        start=start,
+                        sink=sink,
+                        graph=sub,
+                        orig_of=members,
+                        local_start=members.index(start),
+                    )
+                expanded = _expand_region(region, self.algorithm, self.backend)
             if self.metrics is not None:
                 self.metrics.inc("core.region_expansions")
             if self.region_cache is not None:
-                self.region_cache.store(start, sink, orig_of, expanded)
+                self.region_cache.store(start, sink, members, expanded)
             region_lists.append(expanded)
         return _assemble(u, region_lists)
 

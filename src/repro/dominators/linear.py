@@ -8,16 +8,31 @@ case.  The authors' follow-up paper ("A Linear-Time Algorithm for
 Finding All Double-Vertex Dominators of a Given Vertex", PAPERS.md,
 arXiv:1503.04994) shows both are unnecessary: all double-vertex
 dominators of the region entry can be read off **one** linear pass over
-the region.  This module implements that construction:
+the region.  This module implements that construction as one fused pass
+over the cone's own ``succ``/``pred`` arrays — no region copy, no
+explicit flow network, no id remapping:
 
+0. **Region = forward reach from the entry, pruned at the sink.**  The
+   sink is ``idom(entry)``, so every path from a reached vertex to the
+   root — hence every vertex reached without crossing the sink —
+   continues to the sink: the reach *is* the region, with no coreach
+   walk and no sort.  (Only a vertex that cannot reach the root at all,
+   which the dynamic engine's edited graphs may hold, breaks this; the
+   walk notices the dead end and then keeps just the vertices that
+   reach the sink.)
 1. **Two internally vertex-disjoint entry→sink paths** ``P1``/``P2``
-   are found with exactly two augmentation passes over the vertex-split
-   region (unit capacity on interior vertices) — ``O(E)``, never more
-   augmentations regardless of region connectivity.  Every double
-   dominator ``{a, b}`` is a size-two vertex cut, each disjoint path
-   must cross it, and a single vertex cannot lie on both paths, so
-   ``a`` and ``b`` sit one on each path: the chain's two *sides* are
-   subsequences of ``P1`` and ``P2``.
+   are found with exactly two augmentations over an *implicit* vertex
+   split: node ``2v`` is ``v``'s in-node, ``2v + 1`` its out-node, and
+   the flow is stored as one successor per vertex (``flow[v]``, the arc
+   carrying ``v``'s unit) plus the entry's two outgoing units.  The
+   first unit follows any entry→sink path (every member reaches the
+   sink, so a greedy walk never dead-ends); the second is one BFS over
+   the residual graph, whose arcs are derived from ``flow`` on the fly
+   — ``O(E)``, never more augmentations regardless of region
+   connectivity.  Every double dominator ``{a, b}`` is a size-two
+   vertex cut, each disjoint path must cross it, and a single vertex
+   cannot lie on both paths, so ``a`` and ``b`` sit one on each path:
+   the chain's two *sides* are subsequences of ``P1`` and ``P2``.
 2. **Picard–Queyranne closure analysis** of the residual graph: with a
    flow of two, the size-two cuts are exactly the residual closures
    whose boundary is one saturated split arc per path.  Behind the
@@ -37,131 +52,242 @@ the region.  This module implements that construction:
    ``{V_1k, V_2k}`` pair starts exactly where consecutive intervals
    stop overlapping).
 
-Everything after the two augmentation passes is plain linear scans, so
+Everything after the two augmentations is plain linear scans, so
 one region costs ``O(V + E)`` total — no per-pair flow restarts, no
 per-element dominator recomputation.  The output is *bit-identical* to
 the other backends (same pair vectors, same intervals, same chain-pair
 grouping and side orientation): the pair set determines the chain
 layout — sides are ordered along the paths, pairs are the connected
 components of the matching relation, and each pair's side 1 is the side
-holding the smaller region-local id of its immediate pair, exactly the
-ascending-id tie-break of DOUBLEIDOM — which is what lets the
-differential oracle compare all three backends vector-for-vector.
+holding the smaller cone id of its immediate pair.  The other backends
+compare region-local ids, which they assign in ascending cone-id order,
+so that is the same ascending-id tie-break of DOUBLEIDOM — which is what
+lets the differential oracle compare all three backends
+vector-for-vector.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ChainConstructionError
+from ..errors import ChainConstructionError, CircuitError
 
-#: ``(side1, side2, intervals)`` in region-local ids — the contract of
-#: ``repro.core.algorithm._expand_region`` before orig-id mapping.
-LocalRegionPair = Tuple[List[int], List[int], Dict[int, Tuple[int, int]]]
+#: ``(side1, side2, intervals)`` in cone ids with pair-local 1-based
+#: matching intervals — one entry of ``RegionCache`` pairs.
+RegionPair = Tuple[List[int], List[int], Dict[int, Tuple[int, int]]]
 
 
-class _StampedArray:
-    """An int work array validated by a monotone epoch, grown on demand.
+class ConeScratch:
+    """Epoch-stamped work arrays of one cone, reused by every region.
 
-    ``begin(n)`` bumps the epoch and guarantees capacity ``n``; entries
-    with ``stamp[x] != epoch`` are logically unset (no O(n) clear
-    between uses — the same trick as
-    :class:`repro.dominators.shared.SharedConeIndex`'s region scratch).
+    ``mark``/``flow`` are indexed by cone vertex id, ``stamp``/``value``
+    by split-node id (``2v`` in-node, ``2v + 1`` out-node).  An entry
+    counts only while its stamp equals the epoch of the walk that wrote
+    it, and every walk takes a fresh epoch from the one monotone
+    counter, so nothing is ever cleared between regions — or between
+    graphs: the arrays grow to the largest graph seen and a scratch may
+    serve several cones.  :class:`~repro.dominators.shared.SharedConeIndex`
+    holds one per cone version (its ``extract_region`` uses the same
+    arrays); a :class:`~repro.core.algorithm.ChainComputer` built
+    without the index holds its own.
     """
 
-    __slots__ = ("stamp", "value", "epoch")
+    __slots__ = ("mark", "flow", "stamp", "value", "epoch")
 
     def __init__(self) -> None:
-        self.stamp: List[int] = []
-        self.value: List[int] = []
+        self.mark: List[int] = []  # region membership stamp
+        self.flow: List[int] = []  # successor carrying v's unit, -1 if none
+        self.stamp: List[int] = []  # split-node visit stamp
+        self.value: List[int] = []  # BFS parent node, then reach label
         self.epoch = 0
 
-    def begin(self, n: int) -> int:
-        """Reserve capacity ``n`` and return the fresh epoch."""
-        if len(self.stamp) < n:
-            grow = max(n, 2 * len(self.stamp)) - len(self.stamp)
-            self.stamp.extend([0] * grow)
-            self.value.extend([0] * grow)
+    def ensure(self, n: int) -> None:
+        """Grow every array to cover a graph of ``n`` vertices."""
+        grow = n - len(self.mark)
+        if grow > 0:
+            self.mark.extend([0] * grow)
+            self.flow.extend([0] * grow)
+            self.stamp.extend([0] * (2 * grow))
+            self.value.extend([0] * (2 * grow))
+
+    def region(self, graph, start: int, sink: int, dominated: bool = True):
+        """Vertices on ``start``→``sink`` paths, stamped in ``mark``.
+
+        Returns ``(members, epoch)``: ``mark[v] == epoch`` exactly for
+        the members, listed in discovery order, and ``flow[v]`` is reset
+        to ``-1`` for each of them.  With ``dominated`` (the chain-region
+        case, ``sink = idom(start)``) reaching the root past the sink is
+        an error; without it the region is the plain reach ∩ coreach.
+        """
+        if start == sink:
+            raise CircuitError("region start and sink are the same vertex")
+        self.ensure(graph.n)
         self.epoch += 1
-        return self.epoch
+        epoch = self.epoch
+        mark, flow, succ = self.mark, self.flow, graph.succ
+        mark[start] = epoch
+        flow[start] = -1
+        members = [start]
+        stack = [start]
+        closed = True
+        # Forward walk pruned at the sink: nothing past it can return.
+        while stack:
+            sv = succ[stack.pop()]
+            if not sv:
+                closed = False  # a dead end (or the root): see below
+            for w in sv:
+                if mark[w] != epoch:
+                    mark[w] = epoch
+                    flow[w] = -1
+                    members.append(w)
+                    if w != sink:
+                        stack.append(w)
+        if mark[sink] != epoch:
+            raise CircuitError("sink is not reachable from start")
+        root = graph.root
+        if root != sink and mark[root] == epoch:
+            if dominated:
+                raise CircuitError(
+                    f"sink {sink} does not dominate start {start}: "
+                    "the root is reachable around it"
+                )
+            closed = False
+        if closed:
+            return members, epoch
+        # Some reached vertex cannot reach the sink: keep exactly the
+        # reached vertices that do (every suffix of a start→sink path is
+        # reached, so walking back over reached vertices loses nothing).
+        self.epoch += 1
+        keep = self.epoch
+        pred = graph.pred
+        mark[sink] = keep
+        members = [sink]
+        stack = [sink]
+        while stack:
+            for u in pred[stack.pop()]:
+                if mark[u] == epoch:
+                    mark[u] = keep
+                    members.append(u)
+                    stack.append(u)
+        return members, keep
 
 
-class LinearScratch:
-    """Reusable scratch of :func:`region_chain_pairs` across regions.
+def _first_path(graph, start, sink, scratch, me, sslots) -> None:
+    """Route the first unit along any start→sink path, greedily.
 
-    One cone's chain walks dozens to hundreds of search regions; the
-    per-region work arrays of the linear construction (BFS parent
-    edges, the flow-decomposition resume pointers, the two residual
-    reachability labelings) would otherwise be reallocated for every
-    region.  A :class:`ChainComputer <repro.core.algorithm.ChainComputer>`
-    with ``backend="linear"`` owns one instance and threads it through
-    every expansion; the arrays grow to the largest region seen and are
-    epoch-validated, so reuse needs no clearing and cannot leak state
-    between regions (the property suite asserts chains are bit-identical
-    with and without reuse).
-
-    The split-network adjacency itself (``adj``/``eto``/``ecap``) is the
-    region's edge data and is still built per region — only the
-    O(region) *work* arrays are pooled here.
+    Every member other than the sink reaches the sink, so it has a
+    member successor that does too: taking the first member successor
+    at each step never dead-ends (the walk needs no search).
     """
+    succ, mark, flow = graph.succ, scratch.mark, scratch.flow
+    v = start
+    while v != sink:
+        for w in succ[v]:
+            if mark[w] == me:
+                break
+        if v == start:
+            sslots.append(w)
+        else:
+            flow[v] = w
+        v = w
 
-    __slots__ = ("work", "zlab", "wlab")
 
-    def __init__(self) -> None:
-        self.work = _StampedArray()  # BFS parents, then resume pointers
-        self.zlab = _StampedArray()  # P1 reachability labels
-        self.wlab = _StampedArray()  # P2 reachability labels
+def _augment(graph, start, sink, scratch, me, sslots) -> bool:
+    """One BFS augmentation over the implicit split residual graph.
 
+    Residual arcs, read off ``flow`` (``me`` is the region epoch):
 
-def _augment(adj, eto, ecap, source, target, nnodes, work) -> bool:
-    """One BFS augmentation over the split residual graph (unit flow)."""
-    epoch = work.begin(nnodes)
-    stamp = work.stamp
-    parent_edge = work.value
+    * out(v) → in(w) for every successor ``w`` (graph arcs have
+      capacity two, more than any flow they can carry);
+    * out(v) → in(v) when ``v`` carries a unit (the split arc's reverse);
+    * in(v) → out(v) when ``v`` carries none (the split arc itself);
+    * in(v) → out(u) for the member ``u`` whose unit enters ``v``.
+
+    A vertex carrying no unit has the split arc as its in-node's only
+    residual arc, so the search steps from out(v) straight to out(w)
+    and never visits such an in-node.  The entry's units live in
+    ``sslots`` instead of ``flow[start]``; the BFS never re-enters
+    out(start) nor expands in(sink), so those units only ever grow.  On
+    success the path is applied by walking the parents back: an
+    out-node's next hop sets its vertex's unit.
+    """
+    succ, pred = graph.succ, graph.pred
+    mark, flow = scratch.mark, scratch.flow
+    stamp, value = scratch.stamp, scratch.value
+    scratch.epoch += 1
+    epoch = scratch.epoch
+    source = 2 * start + 1
+    target = 2 * sink
     stamp[source] = epoch
-    parent_edge[source] = -2
     queue = [source]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        if x == target:
-            break
-        for k in adj[x]:
-            if ecap[k] > 0:
-                y = eto[k]
+    for x in queue:
+        v = x >> 1
+        if x & 1:
+            for w in succ[v]:
+                if w == sink:
+                    value[target] = x
+                    break
+                y = 2 * w + 1 if flow[w] < 0 else 2 * w
                 if stamp[y] != epoch:
                     stamp[y] = epoch
-                    parent_edge[y] = k
+                    value[y] = x
                     queue.append(y)
-    if stamp[target] != epoch:
+            else:
+                if flow[v] >= 0:
+                    y = x - 1
+                    if stamp[y] != epoch:
+                        stamp[y] = epoch
+                        value[y] = x
+                        queue.append(y)
+                continue
+            break
+        for u in pred[v]:
+            if mark[u] == me and (
+                flow[u] == v or (u == start and v in sslots)
+            ):
+                y = 2 * u + 1
+                if stamp[y] != epoch:
+                    stamp[y] = epoch
+                    value[y] = x
+                    queue.append(y)
+                break
+    else:
         return False
-    x = target
-    while x != source:
-        k = parent_edge[x]
-        ecap[k] -= 1
-        ecap[k ^ 1] += 1
-        x = eto[k ^ 1]
+    y = target
+    while y != source:
+        x = value[y]
+        if x & 1:
+            if y == x - 1:
+                flow[x >> 1] = -1
+            elif x == source:
+                sslots.append(y >> 1)
+            else:
+                flow[x >> 1] = y >> 1
+        y = x
     return True
 
 
-def _reach_labels(adj, eto, ecap, seeds, nnodes, lab) -> int:
-    """Label ``x`` with the highest ``k`` s.t. ``x ⇝ seeds[k]`` residually.
+def _reach_labels(graph, source, sslots, seeds, scratch, me, reads):
+    """Label nodes with the highest ``k`` s.t. ``x ⇝ seeds[k]`` residually.
 
     Seeds are processed in descending index order with one *reverse*
-    residual traversal each (following arcs against their residual
-    direction reaches exactly the nodes that forward-reach the seed);
-    already-labeled nodes stop the walk — they, and everything behind
-    them, were claimed by a higher seed — so every node is expanded at
-    most once and the whole labeling is ``O(V + E)``.
+    residual traversal each (the reverse of the arcs listed in
+    :func:`_augment`); already-labeled nodes stop the walk — they, and
+    everything behind them, were claimed by a higher seed — so every
+    node is expanded at most once and the whole labeling is
+    ``O(V + E)``.  As in the augmentation, a vertex carrying no unit is
+    visited through its out-node only.  Seed 0 (the entry) claims
+    nothing any other seed needs, so its traversal is skipped.
 
-    Results land in the stamped array ``lab`` (``lab.stamp[x] != epoch``
-    means "unreached", the old ``-1``); returns the epoch.
+    Returns one label list per node list in ``reads`` (``-1`` for
+    "reaches no seed"); the arrays are then free for the next pass.
     """
-    epoch = lab.begin(nnodes)
-    stamp = lab.stamp
-    label = lab.value
-    for k in range(len(seeds) - 1, -1, -1):
+    pred = graph.pred
+    mark, flow = scratch.mark, scratch.flow
+    stamp, label = scratch.stamp, scratch.value
+    scratch.epoch += 1
+    epoch = scratch.epoch
+    for k in range(len(seeds) - 1, 0, -1):
         s = seeds[k]
         if stamp[s] == epoch:
             continue
@@ -170,177 +296,150 @@ def _reach_labels(adj, eto, ecap, seeds, nnodes, lab) -> int:
         stack = [s]
         while stack:
             x = stack.pop()
-            for e in adj[x]:
-                # Arc ``e^1`` runs eto[e] -> x; it is residually usable
-                # iff ecap[e^1] > 0, making eto[e] a reverse-neighbor.
-                if ecap[e ^ 1] > 0:
-                    y = eto[e]
+            v = x >> 1
+            if x & 1:
+                if x == source:
+                    for w in sslots:
+                        y = 2 * w
+                        if stamp[y] != epoch:
+                            stamp[y] = epoch
+                            label[y] = k
+                            stack.append(y)
+                    continue
+                f = flow[v]
+                if f >= 0:
+                    y = 2 * f
                     if stamp[y] != epoch:
                         stamp[y] = epoch
                         label[y] = k
                         stack.append(y)
-    return epoch
+                    continue
+            elif flow[v] >= 0:
+                y = x + 1
+                if stamp[y] != epoch:
+                    stamp[y] = epoch
+                    label[y] = k
+                    stack.append(y)
+            for u in pred[v]:
+                if mark[u] == me:
+                    y = 2 * u + 1
+                    if stamp[y] != epoch:
+                        stamp[y] = epoch
+                        label[y] = k
+                        stack.append(y)
+    return [
+        [label[x] if stamp[x] == epoch else -1 for x in nodes]
+        for nodes in reads
+    ]
+
+
+def _valid(own, opp, interior):
+    """Cut candidates of one path: ``(chain index, vertex, floor)``.
+
+    ``a_i`` can appear in a cut iff no component before its split arc
+    reaches back to ``Z_i`` or beyond (the closure could not exclude
+    it); the floor is the highest opposite-chain index the prefix drags
+    into any closure cut at ``a_i`` — its partners lie strictly above.
+    """
+    out = []
+    mown, mopp = own[0], opp[0]
+    for i in range(1, len(own)):
+        if mown < i:
+            out.append((i, interior[i - 1], mopp))
+        if own[i] > mown:
+            mown = own[i]
+        if opp[i] > mopp:
+            mopp = opp[i]
+    return out
 
 
 def region_chain_pairs(
-    region, start: int, scratch: Optional[LinearScratch] = None
-) -> List[LocalRegionPair]:
-    """All chain pairs of one search region, in chain order.
+    graph, start: int, sink: int, scratch: Optional[ConeScratch] = None
+) -> Tuple[List[int], List[RegionPair]]:
+    """All chain pairs of the search region ``start`` → ``sink``.
 
     Parameters
     ----------
-    region:
-        The region graph in signal orientation (``succ``/``n``/``root``
-        — an :class:`~repro.graph.indexed.IndexedGraph` or
-        :class:`~repro.dominators.shared.RegionView`), rooted at the
-        region sink.
+    graph:
+        The cone in signal orientation (``succ``/``pred``/``n``/``root``
+        — an :class:`~repro.graph.indexed.IndexedGraph` or anything
+        duck-compatible).  Ids need not be topological.
     start:
-        Region-local id of the region entry vertex.
+        The region entry vertex.
+    sink:
+        ``idom(start)`` in the cone's dominator tree.
     scratch:
-        Optional :class:`LinearScratch` reused across calls (a fresh
-        one is created when omitted).  Reuse never changes results —
-        only the allocation count.
+        The cone's :class:`ConeScratch` (a fresh one is created when
+        omitted).  Reuse never changes results — only the allocation
+        count.
 
     Returns
     -------
-    list of ``(side1, side2, intervals)``
-        One entry per ``{V_1k, V_2k}`` chain pair, in region-local ids
-        with pair-local 1-based matching intervals — exactly what the
-        legacy/shared expansion produces for the same region.
+    ``(members, pairs)``
+        ``members`` lists every vertex of the region (start and sink
+        included; the member set ``RegionCache`` stores), ``pairs`` one
+        ``(side1, side2, intervals)`` entry per ``{V_1k, V_2k}`` chain
+        pair in chain order — cone ids with pair-local 1-based matching
+        intervals, exactly what the legacy/shared expansion produces.
+
+    Raises
+    ------
+    CircuitError
+        ``start == sink``, ``sink`` unreachable from ``start``, or the
+        root reachable from ``start`` around ``sink`` (``sink`` does not
+        dominate ``start``).
     """
     if scratch is None:
-        scratch = LinearScratch()
-    n = region.n
-    sink = region.root
-    succ = region.succ
-    if n < 4:
-        # Fewer than two interior vertices: no size-two cut can exist.
-        return []
+        scratch = ConeScratch()
+    members, me = scratch.region(graph, start, sink)
+    if len(members) < 4 or sink in graph.succ[start]:
+        # Fewer than two interior vertices, or an arc bypassing every
+        # interior vertex: no pair can cover all start→sink paths.
+        return members, []
 
-    # ------------------------------------------------------------------
-    # vertex-split flow network: in(v) = 2v, out(v) = 2v + 1.  Interior
-    # split arcs carry capacity 1; graph arcs capacity 2 (the flow
-    # value never exceeds two, so 2 behaves as infinity).  Edge layout:
-    # split arcs first — forward arc of v is edge 2v, its reverse 2v+1,
-    # so ``adj``/``eto`` for that block are pure index patterns and the
-    # whole block is built by two comprehensions instead of 4n appends.
-    # ------------------------------------------------------------------
-    nnodes = 2 * n
-    source = 2 * start + 1  # out(start)
-    target = 2 * sink  # in(sink)
-    adj: List[List[int]] = [[x] for x in range(nnodes)]
-    eto: List[int] = [x ^ 1 for x in range(nnodes)]
-    m = nnodes
-    narcs = 0
-    for v in range(n):
-        sv = succ[v]
-        narcs += len(sv)
-        av = adj[2 * v + 1]
-        for w in sv:
-            iw = 2 * w
-            av.append(m)
-            adj[iw].append(m + 1)
-            eto.append(iw)
-            eto.append(2 * v + 1)
-            m += 2
-    ecap: List[int] = [1, 0] * n + [2, 0] * narcs
+    sslots: List[int] = []
+    _first_path(graph, start, sink, scratch, me, sslots)
+    if not _augment(graph, start, sink, scratch, me, sslots):
+        # A single interior vertex already separates entry from sink:
+        # no pair can be minimal.
+        return members, []
 
-    work = scratch.work
-    if not (_augment(adj, eto, ecap, source, target, nnodes, work) and
-            _augment(adj, eto, ecap, source, target, nnodes, work)):
-        # A single interior vertex (or the start→sink edge alone)
-        # already separates entry from sink: no pair can be minimal.
-        return []
-
-    # ------------------------------------------------------------------
-    # flow decomposition into the two disjoint paths.  Interior
-    # vertices are collected in path order; a unit routed over a direct
-    # start→sink arc contributes an empty interior.  The flow on a
-    # forward arc equals its reverse residual cap, so the walk consumes
-    # reverse caps directly and restores them afterwards (the label
-    # passes need the untouched residual) — the ``used`` list is only
-    # as long as the two paths, no per-edge flow array.
-    # ------------------------------------------------------------------
-    # Per-node resume pointers, O(E) total — stamped reuse of ``work``
-    # (the augmentation epochs above are already stale).
-    sp_epoch = work.begin(nnodes)
-    sp_stamp = work.stamp
-    scan_pos = work.value
-    used: List[int] = []
+    # The two disjoint paths, read off the units: interior vertices in
+    # path order (no unit crosses a direct start→sink arc — excluded
+    # above — so neither interior is empty).
+    flow = scratch.flow
     paths: List[List[int]] = []
-    for _ in range(2):
+    for v in sslots:
         interior: List[int] = []
-        x = source
-        while x != target:
-            pos = scan_pos[x] if sp_stamp[x] == sp_epoch else 0
-            edges = adj[x]
-            while True:
-                k = edges[pos]
-                if not k & 1 and ecap[k + 1] > 0:
-                    break
-                pos += 1
-            sp_stamp[x] = sp_epoch
-            scan_pos[x] = pos
-            ecap[k + 1] -= 1
-            used.append(k)
-            y = eto[k]
-            if y == target:
-                break
-            # y is in(v) for an interior vertex v: hop straight to
-            # out(v), consuming the split arc's flow unit (arc id y).
-            interior.append(y >> 1)
-            ecap[y + 1] -= 1
-            used.append(y)
-            x = y + 1
+        while v != sink:
+            interior.append(v)
+            v = flow[v]
         paths.append(interior)
-    for k in used:
-        ecap[k + 1] += 1
     p1, p2 = paths
-    if not p1 or not p2:
-        # A unit crossed a direct start→sink arc: that arc bypasses
-        # every interior vertex, so no pair can cover all paths.
-        return []
 
     # ------------------------------------------------------------------
     # closure reachability labels over the residual graph.  Anchor node
     # of Z_k (the component behind P1's k-th saturated split arc) is
     # out(a_k), with Z_0 anchored at out(start); reaching any node of a
-    # component is equivalent to reaching its anchor.
+    # component is equivalent to reaching its anchor.  Labels are only
+    # ever read at anchors, so each pass returns just those and the two
+    # passes share one pair of arrays.
     # ------------------------------------------------------------------
+    source = 2 * start + 1
     zseeds = [source] + [2 * a + 1 for a in p1]
     wseeds = [source] + [2 * b + 1 for b in p2]
-    z_epoch = _reach_labels(adj, eto, ecap, zseeds, nnodes, scratch.zlab)
-    w_epoch = _reach_labels(adj, eto, ecap, wseeds, nnodes, scratch.wlab)
+    z1, z2 = _reach_labels(
+        graph, source, sslots, zseeds, scratch, me, (zseeds, wseeds)
+    )
+    w1, w2 = _reach_labels(
+        graph, source, sslots, wseeds, scratch, me, (zseeds, wseeds)
+    )
 
-    # ------------------------------------------------------------------
-    # prefix maxima along both chains: a_i can appear in a cut iff no
-    # component before its split arc reaches back to Z_i or beyond (the
-    # closure could not exclude it); the floor is the highest
-    # opposite-chain index the prefix drags into any closure cut at a_i
-    # — a_i's partners must lie strictly above it.
-    # ------------------------------------------------------------------
-    def _valid(seeds, interior, own, own_epoch, opp, opp_epoch):
-        ostamp, olab = own.stamp, own.value
-        pstamp, plab = opp.stamp, opp.value
-        out = []  # (chain index, vertex, opposite-chain floor)
-        s0 = seeds[0]
-        mown = olab[s0] if ostamp[s0] == own_epoch else -1
-        mopp = plab[s0] if pstamp[s0] == opp_epoch else -1
-        for i in range(1, len(seeds)):
-            if mown < i:
-                out.append((i, interior[i - 1], mopp))
-            s = seeds[i]
-            if ostamp[s] == own_epoch and olab[s] > mown:
-                mown = olab[s]
-            if pstamp[s] == opp_epoch and plab[s] > mopp:
-                mopp = plab[s]
-        return out
-
-    # P1 / P2 cut candidates.
-    valid_a = _valid(zseeds, p1, scratch.zlab, z_epoch, scratch.wlab, w_epoch)
-    valid_b = _valid(wseeds, p2, scratch.wlab, w_epoch, scratch.zlab, z_epoch)
+    # P1 / P2 cut candidates (prefix maxima along both chains).
+    valid_a = _valid(z1, w1, p1)
+    valid_b = _valid(w2, z2, p2)
     if not valid_a or not valid_b:
-        return []
+        return members, []
 
     # ------------------------------------------------------------------
     # matching intervals by two pointers: a_i pairs with b_j iff
@@ -389,7 +488,7 @@ def region_chain_pairs(
     # chain-pair grouping: a new {V_1k, V_2k} starts where the interval
     # staircase breaks (no overlap with the previous candidate).
     # ------------------------------------------------------------------
-    results: List[LocalRegionPair] = []
+    results: List[RegionPair] = []
     ka = 0
     while ka < len(valid_a):
         kb = ka
@@ -415,14 +514,14 @@ def region_chain_pairs(
                 hi_b[l] - ka + 1,
             )
         # DOUBLEIDOM's deterministic tie-break: the pair's immediate
-        # dominator is reported in ascending region-local id order, and
-        # its first element opens side 1.
+        # dominator is reported in ascending id order, and its first
+        # element opens side 1.
         if side_a[0] < side_b[0]:
             results.append((side_a, side_b, intervals))
         else:
             results.append((side_b, side_a, intervals))
         ka = kb + 1
-    return results
+    return members, results
 
 
-__all__ = ["LinearScratch", "region_chain_pairs"]
+__all__ = ["ConeScratch", "region_chain_pairs"]

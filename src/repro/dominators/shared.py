@@ -14,10 +14,10 @@ This module replaces the copies with **views over shared arrays**:
 
 * :class:`SharedConeIndex` is built once per ``(graph, version,
   algorithm)`` — cached on the graph itself and invalidated by the
-  graph's monotone edit counter — and owns epoch-stamped scratch arrays
-  so that extracting a search region is two stack walks over the
-  existing adjacency with *zero* per-region allocation proportional to
-  the cone;
+  graph's monotone edit counter — and owns the cone's epoch-stamped
+  :class:`~repro.dominators.linear.ConeScratch`, so that extracting a
+  search region is a stack walk over the existing adjacency with
+  *zero* per-region allocation proportional to the cone;
 * :class:`RegionView` is the resulting lightweight region graph — plain
   ``succ``/``pred``/``root`` arrays in region-local ids, duck-compatible
   with ``IndexedGraph`` for every read-only algorithm (max-flow,
@@ -48,6 +48,7 @@ from ..errors import ChainConstructionError, CircuitError, UnknownNodeError
 from ..graph.circuit import Circuit
 from ..graph.indexed import IndexedGraph
 from . import dsu
+from .linear import ConeScratch
 from .single import circuit_dominator_tree
 from .tree import DominatorTree
 
@@ -58,9 +59,9 @@ from .tree import DominatorTree
 #:   (this module);
 #: * ``legacy`` — the original per-call subgraph copies (reference);
 #: * ``linear`` — the follow-up paper's linear-time construction
-#:   (:mod:`repro.dominators.linear`): shared region extraction, then
-#:   one flow-of-two + residual-SCC pass per region instead of
-#:   per-pair max-flow and per-element ``C − v`` idom walks.
+#:   (:mod:`repro.dominators.linear`): one flow-of-two + residual-label
+#:   pass per region over the cone's own arrays instead of region
+#:   extraction, per-pair max-flow and per-element ``C − v`` idom walks.
 BACKENDS = ("shared", "legacy", "linear")
 
 #: The production backend: every public entry point that takes
@@ -426,10 +427,11 @@ class RegionMatcher:
 class SharedConeIndex:
     """Immutable per-version index of one cone, shared across queries.
 
-    Owns the epoch-stamped scratch arrays that make region extraction
-    allocation-free: ``_reach``/``_coreach``/``_local`` are ``int`` stamp
-    arrays the size of the cone, validated against a monotone epoch
-    counter instead of being cleared between regions.
+    Owns the cone's :class:`~repro.dominators.linear.ConeScratch`: the
+    epoch-stamped arrays behind both the linear pass and
+    :meth:`extract_region`, validated against a monotone epoch counter
+    instead of being cleared between regions (and only allocated once a
+    region is first walked).
     """
 
     __slots__ = (
@@ -437,12 +439,9 @@ class SharedConeIndex:
         "version",
         "algorithm",
         "kernels",
+        "scratch",
         "_tree",
         "_kernel_index",
-        "_epoch",
-        "_reach",
-        "_coreach",
-        "_local",
     )
 
     def __init__(
@@ -460,12 +459,9 @@ class SharedConeIndex:
         self.version = graph.version
         self.algorithm = algorithm
         self.kernels = kernels
+        self.scratch = ConeScratch()
         self._tree: Optional[DominatorTree] = None
         self._kernel_index = None
-        self._epoch = 0
-        self._reach = [0] * graph.n
-        self._coreach = [0] * graph.n
-        self._local = [0] * graph.n
 
     @classmethod
     def for_graph(
@@ -545,58 +541,18 @@ class SharedConeIndex:
         (and the same ordering) as ``region_between`` + ``subgraph``.
         """
         self._check_fresh()
-        if start == sink:
-            # A vertex trivially reaches itself, but a region needs a
-            # path of length >= 1 — report this precisely instead of
-            # pretending the sink is unreachable.
-            raise CircuitError(
-                "region start and sink are the same vertex"
-            )
         graph = self.graph
-        succ, pred = graph.succ, graph.pred
-        self._epoch += 1
-        epoch = self._epoch
-        reach, coreach = self._reach, self._coreach
-
-        # Forward walk pruned at the sink: paths continuing past ``sink``
-        # can never return to it (the graph is a DAG), so expanding the
-        # sink's successors only visits vertices the coreach pass would
-        # discard anyway.  For chain regions — where ``sink`` dominates
-        # ``start`` — this skips the entire downstream cone.
-        reach[start] = epoch
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in succ[v]:
-                if reach[w] != epoch:
-                    reach[w] = epoch
-                    if w != sink:
-                        stack.append(w)
-        if reach[sink] != epoch:
-            raise CircuitError("sink is not reachable from start")
-
-        # Backward walk restricted to reach-marked vertices: any vertex
-        # that reaches ``sink`` *through* reach-marked vertices is itself
-        # on a start→sink path, and every suffix of such a path is
-        # reach-marked, so the restriction loses nothing.
-        coreach[sink] = epoch
-        members = [sink]
-        stack = [sink]
-        while stack:
-            v = stack.pop()
-            for w in pred[v]:
-                if reach[w] == epoch and coreach[w] != epoch:
-                    coreach[w] = epoch
-                    members.append(w)
-                    stack.append(w)
+        scratch = self.scratch
+        members, epoch = scratch.region(graph, start, sink, dominated=False)
         members.sort()
-
-        local = self._local
+        mark = scratch.mark
+        local = scratch.flow  # free until the next walk: local ids here
         for i, v in enumerate(members):
             local[v] = i
+        succ = graph.succ
         names = graph.names
         succ_local = [
-            [local[w] for w in succ[v] if coreach[w] == epoch]
+            [local[w] for w in succ[v] if mark[w] == epoch]
             for v in members
         ]
         view = RegionView(

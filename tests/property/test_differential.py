@@ -135,14 +135,16 @@ class TestBackendEquivalence:
     @given(small_circuits())
     @settings(max_examples=25, deadline=None)
     def test_linear_scratch_reuse_bit_identical(self, circuit):
-        # One linear ChainComputer reuses a single epoch-stamped
+        # One linear ChainComputer reuses its cone's epoch-stamped
         # scratch across every region of every target; a fresh computer
-        # per target starts from a cold scratch.  The chains must be
-        # bit-identical (pair vectors, intervals, grouping) either way.
+        # on a fresh cone index per target starts from a cold scratch.
+        # The chains must be bit-identical (pair vectors, intervals,
+        # grouping) either way.
         for out in circuit.outputs:
             graph = IndexedGraph.from_circuit(circuit, out)
             warm = ChainComputer(graph, backend="linear")
             for u in graph.sources():
+                graph._shared_index = None
                 cold = ChainComputer(graph, backend="linear")
                 divergence = diff_chains(cold.chain(u), warm.chain(u))
                 assert divergence is None, f"{out}/{u}: {divergence}"
