@@ -15,7 +15,8 @@ region depends only on its entry vertex (a single dominator of *u*), not on
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import time
+from typing import Dict, List, Optional
 
 from ..dominators import kernels as _kernels
 from ..dominators.linear import ConeScratch, region_chain_pairs
@@ -29,7 +30,7 @@ from ..dominators.single import circuit_dominator_tree
 from ..dominators.tree import DominatorTree
 from ..flow.vertex_cut import RegionCutSolver
 from ..graph.indexed import IndexedGraph
-from .chain import ChainPair, DominatorChain
+from .chain import ChainPair, DominatorChain, RegionRecord, check_region_pairs
 from .double_idom import double_idom
 from .matching import expand_pair
 from ..graph.transform import region_between
@@ -93,27 +94,6 @@ def _expand_region(
         results.append((side1, side2, intervals))
         sources = [expanded.side1[-1], expanded.side2[-1]]
     return results
-
-
-def _assemble(
-    target: int, region_pair_lists: List[List[RegionPair]]
-) -> DominatorChain:
-    """Concatenate per-region pairs into one chain with global indices."""
-    pairs: List[ChainPair] = []
-    intervals: Dict[int, Tuple[int, int]] = {}
-    offset = [0, 0]  # flattened length of each side so far (last_index)
-    for region_pairs in region_pair_lists:
-        for side1, side2, local_intervals in region_pairs:
-            for v in side1:
-                lo, hi = local_intervals[v]
-                intervals[v] = (offset[1] + lo, offset[1] + hi)
-            for v in side2:
-                lo, hi = local_intervals[v]
-                intervals[v] = (offset[0] + lo, offset[0] + hi)
-            pairs.append(ChainPair(tuple(side1), tuple(side2)))
-            offset[0] += len(side1)
-            offset[1] += len(side2)
-    return DominatorChain(target, pairs, intervals)
 
 
 class ChainComputer:
@@ -280,7 +260,7 @@ class ChainComputer:
         return self.region_cache.stats
 
     @property
-    def _region_cache(self) -> Dict[int, List[RegionPair]]:
+    def _region_cache(self) -> Dict[int, List[ChainPair]]:
         """Legacy ``{start: pairs}`` view of the cache (read-only)."""
         if self.region_cache is None:
             return {}
@@ -292,11 +272,9 @@ class ChainComputer:
             if self.metrics is not None:
                 self.metrics.inc("core.chains_computed")
                 self.metrics.inc("core.prefilter_skipped")
-            return DominatorChain(u, [], {})
+            return DominatorChain.from_regions(u, ())
         if self.metrics is None:
             return self._chain(u)
-        import time
-
         start = time.perf_counter()
         result = self._chain(u)
         self.metrics.observe("core.chain_seconds", time.perf_counter() - start)
@@ -306,7 +284,8 @@ class ChainComputer:
     def _chain(self, u: int) -> DominatorChain:
         chain_vertices = self.tree.chain(u)
         succ = self.graph.succ
-        region_lists: List[List[RegionPair]] = []
+        cache = self.region_cache
+        regions: List[RegionRecord] = []
         for start, sink in zip(chain_vertices, chain_vertices[1:]):
             if len(succ[start]) == 1:
                 # Single fanout: the only successor lies on every path to
@@ -314,54 +293,54 @@ class ChainComputer:
                 # start→sink edge and holds no pair; skip it before any
                 # cache lookup or extraction.
                 continue
-            if self.region_cache is not None:
-                cached = self.region_cache.lookup(start, sink)
-                if cached is not None:
-                    region_lists.append(cached)
+            if cache is not None:
+                entry = cache.lookup(start, sink)
+                if entry is not None:
+                    if entry.pairs:
+                        regions.append((entry.pairs, entry.intervals))
                     continue
-            if self.kernels == "numpy":
-                expanded = self._kernel_region(start, sink)
-                if expanded is not None:
-                    members, pairs = expanded
-                    if self.metrics is not None:
-                        self.metrics.inc("core.region_expansions")
-                        self.metrics.inc("core.kernel_regions")
-                    if self.region_cache is not None:
-                        self.region_cache.store(start, sink, members, pairs)
-                    region_lists.append(pairs)
-                    continue
-            if self._scratch is not None:
-                members, expanded = region_chain_pairs(
-                    self.graph, start, sink, self._scratch
-                )
-            else:
-                if self._index is not None:
-                    view, members, local_start = self._index.extract_region(
-                        start, sink
-                    )
-                    region = SearchRegion(
-                        start=start,
-                        sink=sink,
-                        graph=view,
-                        orig_of=members,
-                        local_start=local_start,
-                    )
-                else:
-                    sub, members = region_between(self.graph, start, sink)
-                    region = SearchRegion(
-                        start=start,
-                        sink=sink,
-                        graph=sub,
-                        orig_of=members,
-                        local_start=members.index(start),
-                    )
-                expanded = _expand_region(region, self.algorithm, self.backend)
+            members, expanded = self._expand(start, sink)
+            # Every fresh region is checked once, before it is stored or
+            # used; chains composed from checked regions need only the
+            # cross-region count check of ``from_regions``.
+            pairs, intervals = check_region_pairs(expanded)
             if self.metrics is not None:
                 self.metrics.inc("core.region_expansions")
-            if self.region_cache is not None:
-                self.region_cache.store(start, sink, members, expanded)
-            region_lists.append(expanded)
-        return _assemble(u, region_lists)
+            if cache is not None:
+                cache.store(start, sink, members, pairs, intervals)
+            if pairs:
+                regions.append((pairs, intervals))
+        return DominatorChain.from_regions(u, regions)
+
+    def _expand(self, start: int, sink: int):
+        """``(members, pairs)`` of the region ``start → sink``, unchecked."""
+        if self.kernels == "numpy":
+            expanded = self._kernel_region(start, sink)
+            if expanded is not None:
+                if self.metrics is not None:
+                    self.metrics.inc("core.kernel_regions")
+                return expanded
+        if self._scratch is not None:
+            return region_chain_pairs(self.graph, start, sink, self._scratch)
+        if self._index is not None:
+            view, members, local_start = self._index.extract_region(start, sink)
+            region = SearchRegion(
+                start=start,
+                sink=sink,
+                graph=view,
+                orig_of=members,
+                local_start=local_start,
+            )
+        else:
+            sub, members = region_between(self.graph, start, sink)
+            region = SearchRegion(
+                start=start,
+                sink=sink,
+                graph=sub,
+                orig_of=members,
+                local_start=members.index(start),
+            )
+        return members, _expand_region(region, self.algorithm, self.backend)
 
     def _kernel_region(self, start: int, sink: int):
         """Expand one region on the numpy kernels, or ``None`` to punt.

@@ -56,15 +56,69 @@ class ChainPair:
         yield from self.side2
 
 
-@dataclass(frozen=True)
-class _VertexInfo:
-    """Lookup attributes of one chain vertex."""
+#: A region's checked chain record: its pairs in chain order and the
+#: matching interval of every pair vertex, in 1-based indices over the
+#: region's own flattened sides.
+RegionRecord = Tuple[Tuple[ChainPair, ...], Dict[int, Tuple[int, int]]]
 
-    flag: int  # 1 or 2
-    index: int  # 1-based position within the flattened side
-    pair: int  # 0-based index of the ChainPair the vertex belongs to
-    min_index: int  # first partner index on the opposite side
-    max_index: int  # last partner index on the opposite side
+#: A chain's lookup table: ``({v: (flag, index, pair)}, side1, side2)``.
+_Table = Tuple[Dict[int, Tuple[int, int, int]], Tuple[int, ...], Tuple[int, ...]]
+
+
+def check_region_pairs(raw_pairs) -> RegionRecord:
+    """Check one freshly built region and turn it into its chain record.
+
+    ``raw_pairs`` are the region's pairs in chain order, each
+    ``(side1, side2, intervals)`` with intervals local to the pair.
+    Every property :meth:`DominatorChain._check_structure` enforces is
+    pair-local, so it is checked here, once per region: both sides are
+    non-empty; every vertex has an interval with ``1 <= min <= max <=
+    |opposite side|``; a side-1 vertex's partners all claim it back; no
+    vertex appears twice in the region.  The intervals are then shifted
+    by the lengths of the region's earlier pairs.  Composition by
+    :meth:`DominatorChain.from_regions` shifts them again, per region,
+    which preserves all of these properties.
+
+    Raises :class:`~repro.errors.ChainConstructionError` on the first
+    violation.
+    """
+    pairs: List[ChainPair] = []
+    intervals: Dict[int, Tuple[int, int]] = {}
+    off1 = off2 = 0
+    for side1, side2, local in raw_pairs:
+        n1, n2 = len(side1), len(side2)
+        if not n1 or not n2:
+            raise ChainConstructionError("chain pair vectors must be non-empty")
+        for side, size, offset in ((side1, n2, off2), (side2, n1, off1)):
+            for v in side:
+                if v not in local:
+                    raise ChainConstructionError(
+                        f"vertex {v} has no matching interval"
+                    )
+                lo, hi = local[v]
+                if not 1 <= lo <= hi <= size:
+                    raise ChainConstructionError(
+                        f"vertex {v}: interval ({lo}, {hi}) out of bounds "
+                        f"for opposite side of size {size}"
+                    )
+                intervals[v] = (lo + offset, hi + offset)
+        off1 += n1
+        off2 += n2
+        if len(intervals) != off1 + off2:
+            raise ChainConstructionError(
+                "a vertex appears twice in the region (violates Lemma 3)"
+            )
+        for index, v in enumerate(side1, 1):
+            lo, hi = local[v]
+            for w in side2[lo - 1 : hi]:
+                w_lo, w_hi = local[w]
+                if not w_lo <= index <= w_hi:
+                    raise ChainConstructionError(
+                        f"asymmetric matching: {v} pairs with {w} but not "
+                        "vice versa"
+                    )
+        pairs.append(ChainPair(tuple(side1), tuple(side2)))
+    return tuple(pairs), intervals
 
 
 class DominatorChain:
@@ -73,6 +127,11 @@ class DominatorChain:
     Instances are immutable; they are produced by
     :func:`repro.core.algorithm.dominator_chain` (or built manually for
     testing) from the list of pairs plus each vertex's matching interval.
+
+    A chain holds only ``pairs`` and the interval of every vertex.  The
+    per-vertex ``flag``/``index`` table and the flattened sides are built
+    on the first query that needs them and published with one
+    assignment, so threads sharing a chain all read a complete table.
 
     Parameters
     ----------
@@ -86,6 +145,8 @@ class DominatorChain:
         appearing in ``pairs``, expressed in 1-based opposite-side indices.
     """
 
+    __slots__ = ("target", "pairs", "_intervals", "_table")
+
     def __init__(
         self,
         target: int,
@@ -94,62 +155,115 @@ class DominatorChain:
     ):
         self.target = target
         self.pairs: Tuple[ChainPair, ...] = tuple(pairs)
-        self._info: Dict[int, _VertexInfo] = {}
-        self._side: Tuple[List[int], List[int]] = ([], [])
-
-        for pair_idx, pair in enumerate(self.pairs):
-            for flag, vector in ((1, pair.side1), (2, pair.side2)):
-                side_list = self._side[flag - 1]
-                for v in vector:
-                    if v in self._info:
-                        raise ChainConstructionError(
-                            f"vertex {v} appears twice in the chain "
-                            "(violates Lemma 3)"
-                        )
-                    if v not in intervals:
-                        raise ChainConstructionError(
-                            f"vertex {v} has no matching interval"
-                        )
-                    lo, hi = intervals[v]
-                    side_list.append(v)
-                    self._info[v] = _VertexInfo(
-                        flag=flag,
-                        index=len(side_list),
-                        pair=pair_idx,
-                        min_index=lo,
-                        max_index=hi,
+        self._table: Optional[_Table] = None
+        ordered: Dict[int, Tuple[int, int]] = {}
+        for pair in self.pairs:
+            for v in pair.vertices():
+                if v in ordered:
+                    raise ChainConstructionError(
+                        f"vertex {v} appears twice in the chain "
+                        "(violates Lemma 3)"
                     )
+                if v not in intervals:
+                    raise ChainConstructionError(
+                        f"vertex {v} has no matching interval"
+                    )
+                lo, hi = intervals[v]
+                ordered[v] = (lo, hi)
+        self._intervals = ordered
         self._check_structure()
+
+    @classmethod
+    def from_regions(
+        cls, target: int, regions: Sequence[RegionRecord]
+    ) -> "DominatorChain":
+        """Compose ``D(target)`` from the records of its regions, in order.
+
+        Each record must come from :func:`check_region_pairs`, which has
+        already checked everything pair-local.  A region's intervals are
+        shifted by the side lengths of the regions before it; the one
+        remaining property, that no vertex repeats across regions
+        (Lemma 3), is a count check.  A chain of one region reuses that
+        record as is, with no copy; callers leave out regions without
+        pairs so that one-region chains take this path.
+        """
+        if len(regions) == 1:
+            pairs, intervals = regions[0]
+        else:
+            pairs = ()
+            intervals = {}
+            off1 = off2 = 0
+            for region_pairs, region_intervals in regions:
+                for pair in region_pairs:
+                    for v in pair.side1:
+                        lo, hi = region_intervals[v]
+                        intervals[v] = (lo + off2, hi + off2)
+                    for v in pair.side2:
+                        lo, hi = region_intervals[v]
+                        intervals[v] = (lo + off1, hi + off1)
+                for pair in region_pairs:
+                    off1 += len(pair.side1)
+                    off2 += len(pair.side2)
+                pairs += region_pairs
+            if len(intervals) != off1 + off2:
+                raise ChainConstructionError(
+                    "a vertex appears in two regions of the chain "
+                    "(violates Lemma 3)"
+                )
+        chain = cls.__new__(cls)
+        chain.target = target
+        chain.pairs = pairs
+        chain._intervals = intervals
+        chain._table = None
+        return chain
+
+    # ------------------------------------------------------------------
+    # lookup table (built on first use)
+    # ------------------------------------------------------------------
+    def _lookup(self) -> _Table:
+        """``(info, side1, side2)``; ``info[v] = (flag, index, pair)``."""
+        table = self._table
+        if table is None:
+            info: Dict[int, Tuple[int, int, int]] = {}
+            sides: Tuple[List[int], List[int]] = ([], [])
+            for pair_idx, pair in enumerate(self.pairs):
+                for flag, vector in ((1, pair.side1), (2, pair.side2)):
+                    side = sides[flag - 1]
+                    for v in vector:
+                        side.append(v)
+                        info[v] = (flag, len(side), pair_idx)
+            table = (info, tuple(sides[0]), tuple(sides[1]))
+            self._table = table
+        return table
 
     # ------------------------------------------------------------------
     # structural invariants (graph-independent parts of Definition 3)
     # ------------------------------------------------------------------
     def _check_structure(self) -> None:
-        side1, side2 = self._side
-        for v, info in self._info.items():
-            opposite = side2 if info.flag == 1 else side1
-            if not (1 <= info.min_index <= info.max_index <= len(opposite)):
+        info, side1, side2 = self._lookup()
+        intervals = self._intervals
+        for v, (flag, _, pair_idx) in info.items():
+            lo, hi = intervals[v]
+            opposite = side2 if flag == 1 else side1
+            if not (1 <= lo <= hi <= len(opposite)):
                 raise ChainConstructionError(
-                    f"vertex {v}: interval ({info.min_index}, "
-                    f"{info.max_index}) out of bounds for opposite side of "
-                    f"size {len(opposite)}"
+                    f"vertex {v}: interval ({lo}, {hi}) out of bounds for "
+                    f"opposite side of size {len(opposite)}"
                 )
             # Partners must belong to the same pair (intervals never span
             # pair boundaries — property 2/3 of Definition 3).
-            for w in (
-                opposite[info.min_index - 1],
-                opposite[info.max_index - 1],
-            ):
-                if self._info[w].pair != info.pair:
+            for w in (opposite[lo - 1], opposite[hi - 1]):
+                if info[w][2] != pair_idx:
                     raise ChainConstructionError(
                         f"vertex {v}: matching interval leaves its pair"
                     )
         # Inverse consistency: v ~ w from side 1 iff w ~ v from side 2.
         for v in side1:
-            for w in self.matching_vector(v):
-                winfo = self._info[w]
-                vinfo = self._info[v]
-                if not (winfo.min_index <= vinfo.index <= winfo.max_index):
+            index = info[v][1]
+            lo, hi = intervals[v]
+            for w in side2[lo - 1 : hi]:
+                w_lo, w_hi = intervals[w]
+                if not (w_lo <= index <= w_hi):
                     raise ChainConstructionError(
                         f"asymmetric matching: {v} pairs with {w} but not "
                         "vice versa"
@@ -168,33 +282,32 @@ class DominatorChain:
     @property
     def size(self) -> int:
         """Total number of stored vertices — the O(n) space bound."""
-        return len(self._info)
+        return len(self._intervals)
 
     def side(self, flag: int) -> List[int]:
         """Flattened side vector ``<V_i1, ..., V_im>`` for ``flag`` i."""
         if flag not in (1, 2):
             raise ValueError("flag must be 1 or 2")
-        return list(self._side[flag - 1])
+        return list(self._lookup()[flag])
 
     def vertices(self) -> List[int]:
         """All vertices appearing anywhere in the chain."""
-        return list(self._info)
+        return list(self._intervals)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._info
+        return v in self._intervals
 
     def flag(self, v: int) -> int:
         """Side flag of *v* (1 or 2); KeyError if *v* is not in the chain."""
-        return self._info[v].flag
+        return self._lookup()[0][v][0]
 
     def index(self, v: int) -> int:
         """1-based position of *v* within its side."""
-        return self._info[v].index
+        return self._lookup()[0][v][1]
 
     def interval(self, v: int) -> Tuple[int, int]:
         """``(min(v), max(v))`` — matching interval of *v*."""
-        info = self._info[v]
-        return (info.min_index, info.max_index)
+        return self._intervals[v]
 
     def immediate(self) -> Optional[Tuple[int, int]]:
         """The immediate double-vertex dominator of the target, if any.
@@ -213,11 +326,13 @@ class DominatorChain:
         flags must differ, then ``index(v2)`` must fall inside the matching
         interval of ``v1``.
         """
-        info1 = self._info.get(v1)
-        info2 = self._info.get(v2)
-        if info1 is None or info2 is None or info1.flag == info2.flag:
+        info = self._lookup()[0]
+        info1 = info.get(v1)
+        info2 = info.get(v2)
+        if info1 is None or info2 is None or info1[0] == info2[0]:
             return False
-        return info1.min_index <= info2.index <= info1.max_index
+        lo, hi = self._intervals[v1]
+        return lo <= info2[1] <= hi
 
     def matching_vector(self, v: int) -> List[int]:
         """All partners *w* of *v* (``{v, w}`` dominates the target).
@@ -225,9 +340,10 @@ class DominatorChain:
         Returned in chain order — the order of Definition 3 property 1:
         if ``{v, w_r}`` dominates ``w_t`` then ``t < r``.
         """
-        info = self._info[v]
-        opposite = self._side[2 - info.flag]
-        return opposite[info.min_index - 1 : info.max_index]
+        table = self._lookup()
+        lo, hi = self._intervals[v]
+        opposite = table[3 - table[0][v][0]]
+        return list(opposite[lo - 1 : hi])
 
     def iter_dominator_pairs(self) -> Iterator[Tuple[int, int]]:
         """Enumerate every double-vertex dominator pair exactly once.
@@ -235,15 +351,20 @@ class DominatorChain:
         Pairs are yielded as ``(side-1 vertex, side-2 vertex)`` in chain
         order; the count of generated pairs is :meth:`num_dominators`.
         """
-        for v in self._side[0]:
-            for w in self.matching_vector(v):
+        _, side1, side2 = self._lookup()
+        intervals = self._intervals
+        for v in side1:
+            lo, hi = intervals[v]
+            for w in side2[lo - 1 : hi]:
                 yield (v, w)
 
     def num_dominators(self) -> int:
         """Total number of distinct double-vertex dominators of the target."""
+        intervals = self._intervals
         return sum(
-            self._info[v].max_index - self._info[v].min_index + 1
-            for v in self._side[0]
+            intervals[v][1] - intervals[v][0] + 1
+            for pair in self.pairs
+            for v in pair.side1
         )
 
     def pair_set(self) -> set:
@@ -262,7 +383,7 @@ class DominatorChain:
                 for p in self.pairs
             ],
             "intervals": {
-                str(v): list(self.interval(v)) for v in self._info
+                str(v): [lo, hi] for v, (lo, hi) in self._intervals.items()
             },
         }
 

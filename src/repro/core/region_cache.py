@@ -28,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-#: One fully expanded pair in original indices with pair-local intervals
-#: (re-exported by :mod:`repro.core.algorithm`).
+from .chain import ChainPair
+
+#: One fully expanded pair in original indices with pair-local intervals,
+#: as a region expansion returns it (re-exported by
+#: :mod:`repro.core.algorithm`).
 RegionPair = Tuple[List[int], List[int], Dict[int, Tuple[int, int]]]
 
 
@@ -83,19 +86,22 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class RegionEntry:
-    """Cached expansion of one search region.
+    """Cached expansion of one search region: its checked chain record.
 
     ``members`` is the full vertex set of the region (the ``orig_of`` of
     :func:`repro.graph.transform.region_between`) — a superset of the
     vertices appearing in ``pairs``, required for sound invalidation: an
     edit touching *any* region vertex can change the pairs even if the
-    touched vertex is on no chain.
+    touched vertex is on no chain.  ``pairs`` and ``intervals`` are the
+    record :func:`repro.core.chain.check_region_pairs` returned for the
+    region; chains reuse them on every hit.
     """
 
     start: int
     sink: int
     members: FrozenSet[int]
-    pairs: Tuple[RegionPair, ...] = field(repr=False)
+    pairs: Tuple[ChainPair, ...] = field(repr=False)
+    intervals: Dict[int, Tuple[int, int]] = field(repr=False)
 
 
 class RegionCache:
@@ -112,8 +118,8 @@ class RegionCache:
     # ------------------------------------------------------------------
     # core protocol used by ChainComputer
     # ------------------------------------------------------------------
-    def lookup(self, start: int, sink: int) -> Optional[List[RegionPair]]:
-        """Cached pairs of the region entered at ``start``, if valid.
+    def lookup(self, start: int, sink: int) -> Optional[RegionEntry]:
+        """Cached entry of the region entered at ``start``, if valid.
 
         The stored sink must match the caller's current ``idom(start)``;
         a mismatch means the region boundary moved since the entry was
@@ -122,7 +128,7 @@ class RegionCache:
         entry = self._entries.get(start)
         if entry is not None and entry.sink == sink:
             self.stats.hits += 1
-            return list(entry.pairs)
+            return entry
         if entry is not None:
             del self._entries[start]
             self.stats.invalidations += 1
@@ -134,13 +140,16 @@ class RegionCache:
         start: int,
         sink: int,
         members: Iterable[int],
-        pairs: List[RegionPair],
+        pairs: Tuple[ChainPair, ...],
+        intervals: Dict[int, Tuple[int, int]],
     ) -> None:
+        """Store a checked region record (see :class:`RegionEntry`)."""
         self._entries[start] = RegionEntry(
             start=start,
             sink=sink,
             members=frozenset(members),
-            pairs=tuple(pairs),
+            pairs=pairs,
+            intervals=intervals,
         )
         self.stats.stores += 1
 
@@ -206,7 +215,7 @@ class RegionCache:
         """
         return self._entries.get(start)
 
-    def pairs_by_start(self) -> Dict[int, List[RegionPair]]:
+    def pairs_by_start(self) -> Dict[int, List[ChainPair]]:
         """Legacy view: ``{start: pairs}`` as the old private dict held."""
         return {s: list(e.pairs) for s, e in self._entries.items()}
 

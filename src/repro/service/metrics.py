@@ -2,9 +2,9 @@
 
 The registry is deliberately dependency-free (no prometheus client) and
 cheap enough to leave enabled everywhere: a counter increment is one
-dict lookup plus an integer add under a lock.  Components accept an
-optional :class:`MetricsRegistry`; passing ``None`` keeps the hot path
-untouched.
+lock-free dict lookup plus an integer add under the counter's lock.
+Components accept an optional :class:`MetricsRegistry`; passing ``None``
+keeps the hot path untouched.
 
 Naming convention: dotted ``component.metric`` names, e.g.
 ``executor.jobs_completed``, ``artifacts.hits``, ``core.chain_seconds``.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -206,12 +207,26 @@ class MetricsRegistry:
             return self._histograms[name]
 
     def inc(self, name: str, amount: int = 1) -> None:
-        """Shorthand: ``registry.counter(name).inc(amount)``."""
-        self.counter(name).inc(amount)
+        """Shorthand: ``registry.counter(name).inc(amount)``.
+
+        An existing counter is found without the registry lock (metrics
+        are never removed, so a lock-free ``dict.get`` sees either the
+        metric or nothing); only a first use takes it, to create one.
+        """
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self.counter(name)
+        counter.inc(amount)
 
     def observe(self, name: str, value: float) -> None:
-        """Shorthand: ``registry.histogram(name).observe(value)``."""
-        self.histogram(name).observe(value)
+        """Shorthand: ``registry.histogram(name).observe(value)``.
+
+        Lock-free lookup of an existing histogram, as in :meth:`inc`.
+        """
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self.histogram(name)
+        histogram.observe(value)
 
     def timer(self, name: str) -> "_Timer":
         """Context manager observing the block's wall time into ``name``."""
@@ -297,13 +312,9 @@ class _Timer:
         self._start: Optional[float] = None
 
     def __enter__(self) -> "_Timer":
-        import time
-
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        import time
-
         assert self._start is not None
         self._histogram.observe(time.perf_counter() - self._start)

@@ -61,6 +61,75 @@ class TestConstruction:
             DominatorChain(0, pairs, intervals)
 
 
+#: The rejection cases above as region records: ``(side1, side2,
+#: pair-local intervals)`` lists, as a region expansion returns them.
+CORRUPT_REGIONS = {
+    "empty_side": [([], [1], {1: (1, 1)})],
+    "missing_interval": [([1], [2], {1: (1, 1)})],
+    "out_of_bounds_interval": [([1], [2], {1: (1, 5), 2: (1, 1)})],
+    "asymmetric_matching": [
+        ([1, 2], [3, 4], {1: (1, 2), 2: (2, 2), 3: (1, 1), 4: (2, 2)})
+    ],
+    # Pair-local intervals: 1 claims two partners where its pair has one.
+    "interval_spanning_pairs": [
+        ([1], [2], {1: (1, 2), 2: (1, 1)}),
+        ([3], [4], {3: (1, 1), 4: (1, 1)}),
+    ],
+    "duplicate_vertex": [([1], [1], {1: (1, 1)})],
+}
+
+
+class TestRegionRecordRejection:
+    """Each defect above, fed to ``ChainComputer.chain`` as a region.
+
+    Figure 2's target *u* crosses two multi-fanout regions; the
+    production pass is replaced through the ``region_chain_pairs``
+    module global, so every freshly built region goes through the
+    region check before it is stored or composed.
+    """
+
+    @staticmethod
+    def _chain_with_regions(monkeypatch, regions):
+        import repro.core.algorithm as algorithm
+        from repro.circuits.figures import figure2_circuit
+        from repro.graph import IndexedGraph
+
+        graph = IndexedGraph.from_circuit(figure2_circuit())
+        computer = algorithm.ChainComputer(graph, backend="linear")
+        served = iter(regions)
+        monkeypatch.setattr(
+            algorithm,
+            "region_chain_pairs",
+            lambda graph, start, sink, scratch: ([], next(served)),
+        )
+        return computer.chain(graph.index_of("u"))
+
+    @pytest.mark.parametrize("defect", sorted(CORRUPT_REGIONS))
+    def test_defect_rejected(self, monkeypatch, defect):
+        region = CORRUPT_REGIONS[defect]
+        with pytest.raises(ChainConstructionError):
+            self._chain_with_regions(monkeypatch, [region, region])
+
+    def test_vertex_repeated_across_regions_rejected(self, monkeypatch):
+        # Each region alone is sound; composing them repeats 1 and 2.
+        region = [([1], [2], {1: (1, 1), 2: (1, 1)})]
+        with pytest.raises(ChainConstructionError, match="Lemma 3"):
+            self._chain_with_regions(monkeypatch, [region, region])
+
+    def test_sound_regions_compose(self, monkeypatch):
+        chain = self._chain_with_regions(
+            monkeypatch,
+            [
+                [([1], [2], {1: (1, 1), 2: (1, 1)})],
+                [([3, 4], [5], {3: (1, 1), 4: (1, 1), 5: (1, 2)})],
+            ],
+        )
+        assert chain.side(1) == [1, 3, 4] and chain.side(2) == [2, 5]
+        assert chain.interval(5) == (2, 3)
+        assert chain.interval(3) == chain.interval(4) == (2, 2)
+        assert chain.num_dominators() == 3
+
+
 class TestQueries:
     def test_flags_and_indices(self):
         chain = _simple_chain()

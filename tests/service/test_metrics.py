@@ -151,6 +151,53 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.counter("h")
 
+    def test_shorthand_kind_conflict_raises(self):
+        reg = MetricsRegistry()
+        reg.observe("lat", 0.5)
+        reg.inc("jobs")
+        with pytest.raises(ValueError):
+            reg.inc("lat")
+        with pytest.raises(ValueError):
+            reg.observe("jobs", 0.5)
+        assert reg.counter("jobs").value == 1
+        assert reg.histogram("lat").count == 1
+
+    def test_shorthands_exact_under_threads(self):
+        import sys
+        import threading
+
+        reg = MetricsRegistry()
+        threads, calls = 8, 10_000
+        barrier = threading.Barrier(threads)
+
+        def hammer():
+            barrier.wait()
+            for i in range(calls):
+                reg.inc("shared.count")
+                reg.inc("shared.amount", 2)
+                reg.observe("shared.lat", 0.001 * (i % 3))
+
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        total = threads * calls
+        assert reg.counter("shared.count").value == total
+        assert reg.counter("shared.amount").value == 2 * total
+        lat = reg.histogram("shared.lat")
+        assert lat.count == total
+        assert sum(lat.as_dict()["buckets"].values()) == total
+        assert lat.sum == pytest.approx(0.001 * threads * sum(
+            i % 3 for i in range(calls)
+        ))
+
     def test_shorthands_and_timer(self):
         reg = MetricsRegistry()
         reg.inc("jobs", 3)
