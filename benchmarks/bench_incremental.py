@@ -7,18 +7,16 @@ input of a cone; a synthesis loop applies one local rewrite at a time
 (buffer insertion on a net, the canonical single-gate edit) and re-asks
 for all chains after each edit.
 
-Three ways to serve that loop:
+Two ways to serve that loop:
 
-* ``engine="patch"`` — one :class:`~repro.incremental.IncrementalEngine`
-  lives across the whole stream: each flush patches the dominator tree
-  inside the edit's affected cone, evicts only the cached regions the
-  edit could touch, and reuses every surviving region expansion and
-  assembled chain;
-* ``engine="dynamic"`` — the same session, but the tree is *maintained*
-  by :class:`~repro.dominators.dynamic.DynamicDominators`: a pruned
-  iterative sweep re-folds only the affected region's idoms in place, no
-  per-flush full-graph pass (no RPO, no tree DFS, no shared cone index
-  rebuild) happens at all;
+* ``incremental`` — one :class:`~repro.incremental.IncrementalEngine`
+  lives across the whole stream.  Its tree is *maintained* by
+  :class:`~repro.dominators.dynamic.DynamicDominators`: a pruned
+  iterative sweep re-folds only the affected region's idoms in place,
+  with no per-flush full-graph pass (no RPO, no tree DFS, no shared cone
+  index rebuild).  Each flush evicts only the cached regions the edit
+  could touch and reuses every surviving region expansion and assembled
+  chain;
 * ``full recompute`` — what a stateless caller does: a fresh
   :class:`~repro.core.algorithm.ChainComputer` per edit (new tree, every
   region re-expanded, every chain re-assembled).
@@ -28,21 +26,17 @@ sides honestly.  The dual-rail parity headline is the canonical local-
 edit workload: every PI fans into two balanced trees that reconverge
 only at the output comparator, so a scattered buffer insertion stales a
 couple of leaf-adjacent cells while a full recompute re-expands every
-PI's whole-circuit entry region — both engines win by >20x there, the
-dynamic engine by more because its flush never touches the untouched
-remainder of the graph.  On a cascade where eight inputs each tap every
-level, every PI's entry region spans the whole circuit and any edit
-honestly invalidates it — the engines degrade to parity, never below it.
+PI's whole-circuit entry region.  On a cascade where eight inputs each
+tap every level, every PI's entry region spans the whole circuit and any
+edit honestly invalidates it — the engine degrades toward parity there.
 
 ``python benchmarks/bench_incremental.py`` runs the edit-stream study
-directly — every config under both engines — and writes
-``BENCH_incremental.json`` next to the repo's other ``BENCH_*``
-artifacts (``--quick`` shrinks the stream for CI smoke runs).  The
-acceptance gate is per engine (patch >=5x, dynamic >=20x headline
-median) plus ``--min-dynamic-vs-patch``, which fails the run when the
-dynamic headline falls below the given multiple of the patch headline.
-Under pytest, each config becomes a benchmark group whose entries are
-the per-edit cost of each engine and of the full recompute.
+directly and writes ``BENCH_incremental.json`` next to the repo's other
+``BENCH_*`` artifacts (``--quick`` shrinks the stream for CI smoke
+runs).  The run exits 1 unless the median headline speedup reaches
+:data:`ACCEPTANCE_SPEEDUP`.  Under pytest, each config becomes a
+benchmark group whose entries are the per-edit cost of the engine and of
+the full recompute.
 """
 
 import json
@@ -58,8 +52,6 @@ from repro.circuits.generators import (
     random_series_parallel,
 )
 from repro.core.algorithm import ChainComputer
-from repro.dominators.dynamic import ENGINES
-from repro.graph import IndexedGraph
 from repro.incremental import AddGate, IncrementalEngine, ReplaceSubgraph, Rewire
 
 #: (label, circuit factory, part of the acceptance headline?)
@@ -95,8 +87,8 @@ CONFIGS = [
 ]
 
 EDITS = 20
-#: Per-engine threshold on the median headline speedup vs full recompute.
-ACCEPTANCE_SPEEDUP = {"patch": 5.0, "dynamic": 20.0}
+#: Threshold on the median headline speedup vs full recompute.
+ACCEPTANCE_SPEEDUP = 20.0
 
 
 def _edit_at(graph, step):
@@ -136,9 +128,9 @@ def _query_all(computer, sources):
     return total
 
 
-def run_stream(make_circuit, edits=EDITS, engine="patch"):
+def run_stream(make_circuit, edits=EDITS):
     """One config's study: per-edit incremental vs recompute timings."""
-    session = IncrementalEngine.from_circuit(make_circuit(), engine=engine)
+    session = IncrementalEngine.from_circuit(make_circuit())
     graph = session.graph
     session.chains_for_sources()  # warm session, as a synthesis loop would be
     inc_times, full_times = [], []
@@ -155,7 +147,6 @@ def run_stream(make_circuit, edits=EDITS, engine="patch"):
     return {
         "vertices": alive,
         "edits": edits,
-        "engine": engine,
         "incremental_ms_median": statistics.median(inc_times) * 1e3,
         "full_ms_median": statistics.median(full_times) * 1e3,
         "speedup_median": statistics.median(ratios),
@@ -167,12 +158,12 @@ def run_stream(make_circuit, edits=EDITS, engine="patch"):
 
 
 # ----------------------------------------------------------------------
-# pytest-benchmark entry points: one group per config, three contenders.
+# pytest-benchmark entry points: one group per config, two contenders.
 # Each benchmark round applies the next edit of the stream and re-queries
 # all PI chains — the unit of work a synthesis loop pays per rewrite.
 # ----------------------------------------------------------------------
-def _streaming_workload(make_circuit, incremental, engine="patch"):
-    session = IncrementalEngine.from_circuit(make_circuit(), engine=engine)
+def _streaming_workload(make_circuit, incremental):
+    session = IncrementalEngine.from_circuit(make_circuit())
     graph = session.graph
     session.chains_for_sources()
     state = {"step": 0}
@@ -187,12 +178,11 @@ def _streaming_workload(make_circuit, incremental, engine="patch"):
     return one_edit_cycle
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("label,factory,_", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_incremental_requery(benchmark, label, factory, _, engine):
+def test_incremental_requery(benchmark, label, factory, _):
     benchmark.group = f"edit-stream:{label}"
-    benchmark.name = f"incremental engine ({engine})"
-    benchmark(_streaming_workload(factory, incremental=True, engine=engine))
+    benchmark.name = "incremental engine"
+    benchmark(_streaming_workload(factory, incremental=True))
 
 
 @pytest.mark.parametrize("label,factory,_", CONFIGS, ids=[c[0] for c in CONFIGS])
@@ -222,51 +212,28 @@ def main(argv=None):
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_incremental.json",
     )
-    parser.add_argument(
-        "--min-dynamic-vs-patch",
-        type=float,
-        default=1.0,
-        metavar="RATIO",
-        help="fail unless dynamic headline >= RATIO * patch headline "
-        "(default 1.0: the dynamic engine must not regress below patch)",
-    )
     args = parser.parse_args(argv)
     edits = args.edits if args.edits is not None else (6 if args.quick else EDITS)
 
     results = []
     for label, factory, headline in CONFIGS:
-        for engine in ENGINES:
-            row = run_stream(factory, edits=edits, engine=engine)
-            row["config"] = label
-            row["headline"] = headline
-            results.append(row)
-            print(
-                f"{label:40s} {engine:8s} n={row['vertices']:5d} "
-                f"median {row['speedup_median']:6.1f}x "
-                f"p25 {row['speedup_p25']:5.1f}x "
-                f"hit_rate={row['cache_hit_rate']:.1%}"
-            )
-
-    headline_median = {
-        engine: statistics.median(
-            r["speedup_median"]
-            for r in results
-            if r["headline"] and r["engine"] == engine
+        row = run_stream(factory, edits=edits)
+        row["config"] = label
+        row["headline"] = headline
+        results.append(row)
+        print(
+            f"{label:42s} n={row['vertices']:5d} "
+            f"inc {row['incremental_ms_median']:6.2f} ms "
+            f"full {row['full_ms_median']:7.2f} ms "
+            f"median {row['speedup_median']:6.1f}x "
+            f"p25 {row['speedup_p25']:5.1f}x "
+            f"hit_rate={row['cache_hit_rate']:.1%}"
         )
-        for engine in ENGINES
-    }
-    acceptance = {
-        engine: {
-            "threshold": ACCEPTANCE_SPEEDUP[engine],
-            "met": headline_median[engine] >= ACCEPTANCE_SPEEDUP[engine],
-        }
-        for engine in ENGINES
-    }
-    floor = args.min_dynamic_vs_patch * headline_median["patch"]
-    acceptance["dynamic_vs_patch"] = {
-        "min_ratio": args.min_dynamic_vs_patch,
-        "met": headline_median["dynamic"] >= floor,
-    }
+
+    headline_median = statistics.median(
+        r["speedup_median"] for r in results if r["headline"]
+    )
+    met = headline_median >= ACCEPTANCE_SPEEDUP
     report = {
         "benchmark": "incremental edit-stream re-query vs full recompute",
         "edit": "single-gate buffer insertion, scattered across the cone",
@@ -274,25 +241,16 @@ def main(argv=None):
         "edits_per_config": edits,
         "configs": results,
         "headline_median_speedup": headline_median,
-        "acceptance": acceptance,
+        "acceptance": {"threshold": ACCEPTANCE_SPEEDUP, "met": met},
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
-    ok = all(gate["met"] for gate in acceptance.values())
-    for engine in ENGINES:
-        print(
-            f"\n{engine} headline median speedup: "
-            f"{headline_median[engine]:.1f}x "
-            f"(threshold {ACCEPTANCE_SPEEDUP[engine]:.0f}x, "
-            f"{'met' if acceptance[engine]['met'] else 'NOT met'})"
-        )
     print(
-        f"dynamic vs patch: {headline_median['dynamic']:.1f}x vs "
-        f"{headline_median['patch']:.1f}x "
-        f"(floor {floor:.1f}x, "
-        f"{'met' if acceptance['dynamic_vs_patch']['met'] else 'NOT met'})"
+        f"\nheadline median speedup: {headline_median:.1f}x "
+        f"(threshold {ACCEPTANCE_SPEEDUP:.0f}x, "
+        f"{'met' if met else 'NOT met'})"
     )
     print(f"wrote {args.output}")
-    return 0 if ok else 1
+    return 0 if met else 1
 
 
 if __name__ == "__main__":

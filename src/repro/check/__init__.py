@@ -12,9 +12,7 @@ harnesses used to validate dynamic dominator algorithms:
   ``(flag, index, min, max)`` look-up structure at its interval
   boundaries, and certifies the shared single-dominator tree with a
   low-high order (:func:`~repro.check.oracle.check_low_high`) — the
-  fourth, non-differential oracle — and audits the biconnectivity
-  pre-filter's pair-free certificates against those filter-free
-  implementations (kind ``prefilter``);
+  fourth, non-differential oracle;
 * :func:`~repro.check.oracle.check_sequential` compares every
   combinational-core cone of a :class:`~repro.graph.sequential
   .SequentialCircuit` against the frame-0 cone of its time-frame

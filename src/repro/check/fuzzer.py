@@ -16,10 +16,9 @@ circuits on every machine — the CI contract.  Case kinds cover:
   exactly like the paper's C499→C1355 pair;
 * incremental sessions: a random edit script (mixed, deletion-heavy or
   strictly interleaved insert/delete schedule) replayed through
-  :class:`~repro.incremental.IncrementalEngine`, alternating the
-  ``patch`` and ``dynamic`` engines by case index, cross-checked
-  against from-scratch recomputation and the low-high certificate
-  after every edit.
+  :class:`~repro.incremental.IncrementalEngine`, cross-checked against
+  from-scratch recomputation and the low-high certificate after every
+  edit.
 
 A mismatching case is handed to :mod:`repro.check.shrink`; the minimized
 circuit is dumped as a ``.bench`` fixture for the bug report.
@@ -59,18 +58,12 @@ Fault = Callable[[Circuit], bool]
 
 @dataclass(frozen=True)
 class FuzzCase:
-    """One drawn test case.
-
-    ``engine`` is the incremental-engine strategy the case's edit script
-    is replayed under (``"patch"`` or ``"dynamic"``); it is meaningful
-    only when ``edits`` is non-empty.
-    """
+    """One drawn test case (``edits`` non-empty for incremental cases)."""
 
     index: int
     kind: str
     circuit: Circuit
     edits: Tuple[Edit, ...] = ()
-    engine: str = "patch"
 
 
 @dataclass
@@ -170,7 +163,6 @@ def generate_case(seed: int, index: int, max_gates: int = 24) -> FuzzCase:
     rng = random.Random(f"repro-fuzz:{seed}:{index}")
     roll = rng.random()
     edits: Tuple[Edit, ...] = ()
-    engine = "patch"
     if roll < 0.45:
         kind = "random"
         circuit = random_circuit(
@@ -193,14 +185,11 @@ def generate_case(seed: int, index: int, max_gates: int = 24) -> FuzzCase:
     elif roll < 0.84:
         kind, circuit = _degenerate_case(rng, f"{seed}_{index}")
     else:
-        # Alternate the engine under test by case index so a fixed-seed
-        # run covers both strategies evenly; the edit schedule is drawn
-        # per case (deletion-heavy and interleaved schedules stress the
-        # dynamic maintainer's region sweep far harder than pure
-        # insertion streams do).
+        # The edit schedule is drawn per case (deletion-heavy and
+        # interleaved schedules stress the dynamic maintainer's region
+        # sweep far harder than pure insertion streams do).
         schedule = rng.choice(("mixed", "deletion_heavy", "interleaved"))
-        engine = ("patch", "dynamic")[index % 2]
-        kind = f"incremental[{schedule},{engine}]"
+        kind = f"incremental[{schedule}]"
         circuit = random_circuit(
             num_inputs=rng.randint(2, 5),
             num_gates=rng.randint(3, max(3, max_gates // 2)),
@@ -216,9 +205,7 @@ def generate_case(seed: int, index: int, max_gates: int = 24) -> FuzzCase:
         if expanded.gate_count() <= max_gates * 4:
             kind += "+xor_expanded"
             circuit = expanded
-    return FuzzCase(
-        index=index, kind=kind, circuit=circuit, edits=edits, engine=engine
-    )
+    return FuzzCase(index=index, kind=kind, circuit=circuit, edits=edits)
 
 
 #: Edit-kind pools per schedule: ``mixed`` is the balanced original,
@@ -387,7 +374,6 @@ def _case_mismatches(
             case.edits,
             metrics=metrics,
             backend=backend,
-            engine=case.engine,
         )
     report: OracleReport = check_circuit(
         case.circuit, brute_limit=brute_limit, metrics=metrics,
@@ -420,12 +406,7 @@ def _shrink_predicate(
             if not applicable:
                 return False
             return bool(
-                check_incremental(
-                    candidate,
-                    applicable,
-                    backend=backend,
-                    engine=case.engine,
-                )
+                check_incremental(candidate, applicable, backend=backend)
             )
 
         return failing_incremental

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
-from ..analysis.biconnectivity import has_no_double_dominator
 from ..core.algorithm import ChainComputer
 from ..core.baseline import baseline_double_dominators
 from ..core.bruteforce import all_double_dominators
@@ -99,8 +98,7 @@ class Mismatch:
         primary and counterpart chain backends disagree), ``kernels``
         (the numpy and python hot-path implementations disagree),
         ``incremental``, ``certificate`` (the dominator tree fails its
-        low-high certificate), ``prefilter`` (the biconnectivity pre-filter
-        certified a cone pair-free but pairs exist), ``sequential``
+        low-high certificate), ``sequential``
         (a combinational-core chain disagrees with the frame-0 chain of
         the time-frame unrolling) or ``crash`` (an implementation raised
         instead of answering).
@@ -343,15 +341,6 @@ def check_cone(
         with the kernel region threshold forced to 0, so even
         single-gate cones exercise the vectorized path — and compared
         structurally (kind ``kernels`` on divergence).
-
-    Every cone is additionally run through the biconnectivity
-    pre-filter (:func:`~repro.analysis.biconnectivity
-    .has_no_double_dominator`): when the filter certifies the cone
-    pair-free, every target's reference pair set (brute force where
-    available, otherwise the computed chain) must indeed be empty —
-    kind ``prefilter`` on violation.  This is the soundness guard for
-    ``prefilter="biconn"`` sweeps: a cone the filter would skip is
-    proven here, against filter-free implementations, to lose nothing.
     """
     if report is None:
         report = OracleReport(circuit or "cone")
@@ -360,7 +349,6 @@ def check_cone(
         targets = graph.sources()
     target_list = list(targets)
     started = time.perf_counter()
-    prefilter_certified = has_no_double_dominator(graph)
 
     cross_computer: Optional[ChainComputer] = None
     kernel_computer: Optional[ChainComputer] = None
@@ -430,24 +418,6 @@ def check_cone(
             brute_pairs = all_double_dominators(graph, u)
             report.brute_confirmed += 1
 
-        if prefilter_certified:
-            reference = brute_pairs if brute_pairs is not None else chain_pairs
-            report.comparisons += 1
-            if reference:
-                reference_label = (
-                    "brute force" if brute_pairs is not None else "the chain"
-                )
-                mismatches.append(
-                    Mismatch(
-                        "prefilter",
-                        circuit,
-                        output,
-                        _name(graph, u),
-                        f"biconn pre-filter certified the cone pair-free "
-                        f"but {reference_label} finds "
-                        f"{_format_pairs(graph, reference)}",
-                    )
-                )
         if chain_pairs is not None and brute_pairs is not None:
             report.comparisons += 1
             mismatches += _diff_pairs(
@@ -570,7 +540,6 @@ def check_incremental(
     algorithm: str = "lt",
     metrics=None,
     backend: str = DEFAULT_BACKEND,
-    engine: str = "patch",
 ) -> List[Mismatch]:
     """Cross-check the incremental engine against from-scratch results.
 
@@ -585,43 +554,39 @@ def check_incremental(
     The engine runs on ``backend``; the from-scratch reference runs on
     the *counterpart* backend, so each step also cross-checks the two
     construction backends on the edited (not freshly extracted) graph —
-    the one shape the pure-fuzz oracle path never sees.  ``engine``
-    selects the dominator-maintenance strategy under test
-    (``"patch"`` or ``"dynamic"``).
+    the one shape the pure-fuzz oracle path never sees.  ``algorithm``
+    selects the single-dominator algorithm of that reference.
     """
     from ..incremental import IncrementalEngine
 
-    engine_obj = IncrementalEngine.from_circuit(
-        circuit, output, algorithm, backend=backend, engine=engine
-    )
+    engine = IncrementalEngine.from_circuit(circuit, output, backend=backend)
     out_name = output or (circuit.outputs[0] if circuit.outputs else "")
     mismatches: List[Mismatch] = []
-    engine_obj.chains_for_sources()  # warm the cache pre-edit
+    engine.chains_for_sources()  # warm the cache pre-edit
     for step, edit in enumerate(edits, 1):
-        engine_obj.apply(edit)
+        engine.apply(edit)
         fresh = ChainComputer(
-            engine_obj.graph, algorithm, backend=other_backend(backend)
+            engine.graph, algorithm, backend=other_backend(backend)
         )
-        for detail in engine_obj.check_certificate():
+        for detail in engine.check_certificate():
             mismatches.append(
                 Mismatch(
                     "certificate",
                     circuit.name,
                     out_name,
                     "",
-                    f"after edit {step} ({engine_obj.engine} engine): "
-                    + detail,
+                    f"after edit {step}: " + detail,
                 )
             )
-        tree = engine_obj.tree
-        for u in engine_obj.graph.sources():
+        tree = engine.tree
+        for u in engine.graph.sources():
             if not tree.is_reachable(u):
                 continue
-            incremental = engine_obj.chain(u)
+            incremental = engine.chain(u)
             scratch = fresh.chain(u)
             if incremental.pair_set() != scratch.pair_set():
                 mismatches += _diff_pairs(
-                    engine_obj.graph,
+                    engine.graph,
                     "incremental",
                     circuit.name,
                     out_name,
@@ -641,7 +606,7 @@ def check_incremental(
                         "incremental",
                         circuit.name,
                         out_name,
-                        _name(engine_obj.graph, u),
+                        _name(engine.graph, u),
                         f"after edit {step}: same pair set but different "
                         "chain layout (pair vectors or intervals differ)",
                     )

@@ -7,12 +7,11 @@ each flop output to its data-input net — the shape
 :func:`~repro.graph.sequential.extract_combinational_core` and
 :func:`~repro.graph.sequential.unrolled` consume.
 
-The three families deliberately span the pre-filter spectrum: a shift
-register's flop-cut cones are all single wires or buffers (every cone is
-certified pair-free by the biconnectivity pre-filter), an LFSR adds
-fanout-free XOR feedback (still mostly certified), and the pipelined ALU
-carries reconvergent carry/select logic per stage (real double-dominator
-pairs, never certified).
+The three families deliberately span the double-dominator spectrum: a
+shift register's flop-cut cones are all single wires or buffers (every
+primary-input chain is empty), an LFSR adds fanout-free XOR feedback
+(still pair-free), and the pipelined ALU carries reconvergent
+carry/select logic per stage (real double-dominator pairs).
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def pipelined_alu(
     operand-feedthrough pipeline).  A shared ``sel`` input picks between
     the add and AND function in every stage.  The flop-cut cones carry
     the stage adders' reconvergent carry logic, so unlike the register
-    chains above these cones are *not* certified by the pre-filter.
+    chains above these cones hold real double-dominator pairs.
     """
     if width < 2:
         raise ValueError("width must be at least 2")

@@ -461,11 +461,11 @@ _SEQUENTIAL: Optional[Dict[str, SequentialEntry]] = None
 def sequential_suite() -> Dict[str, SequentialEntry]:
     """The sequential registry, keyed by entry name.
 
-    The three families span the pre-filter spectrum: ``s_shift``'s
-    flop-cut cones are all certified pair-free by the biconnectivity
-    pre-filter, ``s_lfsr`` adds fanout-free XOR feedback (still
-    certified), and ``s_alu`` pipelines reconvergent adder stages whose
-    cones carry real pairs (never certified).
+    The three families span the double-dominator spectrum: every
+    primary-input chain of ``s_shift``'s flop-cut cones is empty,
+    ``s_lfsr`` adds fanout-free XOR feedback (still pair-free), and
+    ``s_alu`` pipelines reconvergent adder stages whose cones carry
+    real pairs.
     """
     global _SEQUENTIAL
     if _SEQUENTIAL is None:

@@ -153,18 +153,11 @@ class ChainComputer:
         whichever of ``shared``/``linear`` handles the narrow ones.
         Chains are bit-identical either way; the differential oracle
         cross-checks them.  Requires the shared index (and numpy).
-    prefilter:
-        ``"none"`` (default) computes every chain; ``"biconn"`` runs
-        Schmidt's chain-decomposition test
-        (:func:`repro.analysis.biconnectivity.has_no_double_dominator`)
-        on the cone once, and — when the undirected skeleton is a tree,
-        which certifies that *no* vertex has a double dominator — skips
-        the shared-index build entirely and answers every :meth:`chain`
-        call with an empty chain in O(1).  Sound but one-sided: an
-        uncertified cone is computed exactly as with ``"none"``, and
-        certified answers are bit-identical to the computed ones (the
-        differential oracle cross-checks this).
     """
+
+    #: Cone pre-filter, reported by the benchmark's config line.
+    #: Read-only: every chain is computed, with no pre-filter.
+    prefilter = "none"
 
     def __init__(
         self,
@@ -177,26 +170,13 @@ class ChainComputer:
         backend: str = DEFAULT_BACKEND,
         shared_index: bool = True,
         kernels: str = "python",
-        prefilter: str = "none",
     ):
-        from ..analysis.biconnectivity import (
-            has_no_double_dominator,
-            validate_prefilter,
-        )
-
         self.graph = graph
         self.algorithm = algorithm
         self.cache_regions = cache_regions
         self.metrics = metrics
         self.backend = validate_backend(backend)
         self.kernels = _kernels.validate_kernels(kernels)
-        self.prefilter = validate_prefilter(prefilter)
-        #: True when the pre-filter certified the whole cone pair-free.
-        self.certified_empty = (
-            self.prefilter == "biconn" and has_no_double_dominator(graph)
-        )
-        if self.certified_empty and self.metrics is not None:
-            self.metrics.inc("core.prefilter_certified")
         if kernels == "numpy":
             _kernels.require_numpy()
             if not shared_index or backend not in ("shared", "linear"):
@@ -216,13 +196,11 @@ class ChainComputer:
         # id, so chains stay bit-identical.
         self._index = (
             SharedConeIndex.for_graph(graph, algorithm, kernels)
-            if shared_index
-            and backend in ("shared", "linear")
-            and not self.certified_empty
+            if shared_index and backend in ("shared", "linear")
             else None
         )
         self._scratch: Optional[ConeScratch] = None
-        if backend == "linear" and not self.certified_empty:
+        if backend == "linear":
             self._scratch = (
                 self._index.scratch
                 if self._index is not None
@@ -233,9 +211,7 @@ class ChainComputer:
         elif self._index is not None:
             self._tree = self._index.tree
         else:
-            # Built on first access; a pre-filter-certified cone never
-            # needs it, so the skip saves the whole O(n alpha) pass.
-            self._tree = None
+            self._tree = None  # built on first access
         self.region_cache: Optional[RegionCache] = (
             (region_cache if region_cache is not None else RegionCache())
             if cache_regions
@@ -244,7 +220,7 @@ class ChainComputer:
 
     @property
     def tree(self) -> DominatorTree:
-        """The cone's dominator tree (built lazily when pre-filtered)."""
+        """The cone's dominator tree (built lazily without an index)."""
         if self._tree is None:
             self._tree = circuit_dominator_tree(self.graph, self.algorithm)
         return self._tree
@@ -268,11 +244,6 @@ class ChainComputer:
 
     def chain(self, u: int) -> DominatorChain:
         """The dominator chain ``D(u)`` (empty for the root)."""
-        if self.certified_empty:
-            if self.metrics is not None:
-                self.metrics.inc("core.chains_computed")
-                self.metrics.inc("core.prefilter_skipped")
-            return DominatorChain.from_regions(u, ())
         if self.metrics is None:
             return self._chain(u)
         start = time.perf_counter()

@@ -38,7 +38,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..dominators.dynamic import validate_engine
 from ..dominators.kernels import validate_kernels
 from ..dominators.shared import DEFAULT_BACKEND, validate_backend
 from ..errors import ReproError
@@ -74,7 +73,6 @@ class ServiceConfig:
     jobs: int = 1
     backend: str = DEFAULT_BACKEND
     kernels: str = "python"
-    engine: str = "patch"
     use_shared_memory: bool = True
     max_in_flight: int = 16
     tenant_rate: float = 50.0
@@ -89,7 +87,6 @@ class ServiceConfig:
                 f"chunk_size must be a positive integer, got {self.chunk_size}"
             )
         validate_backend(self.backend)
-        validate_engine(self.engine)
         validate_kernels(self.kernels)
 
 
@@ -350,7 +347,6 @@ class DaemonService:
                     self._circuits[key].copy(),
                     output,
                     backend=self.config.backend,
-                    engine=self.config.engine,
                     metrics=self.metrics,
                 )
                 if self._pool is not None:
@@ -572,12 +568,12 @@ class DaemonService:
             # the published segment explicitly.
             self._pool.invalidate(key)
         self.metrics.inc("daemon.edits_applied", len(edits))
-        if output is not None and self.config.engine == "dynamic":
-            # The dynamic engine proves its maintained tree correct
-            # after every edit batch; a failed certificate is an
-            # internal invariant violation, so the broken engine is
-            # dropped (next query reopens fresh) and the client gets a
-            # 500 — the netlist itself is already updated above.
+        if output is not None:
+            # The engine proves its maintained tree correct after every
+            # edit batch; a failed certificate is an internal invariant
+            # violation, so the broken engine is dropped (next query
+            # reopens fresh) and the client gets a 500 — the netlist
+            # itself is already updated above.
             violations = self._engine(key, str(output)).check_certificate()
             if violations:
                 with self._lock:
@@ -615,9 +611,9 @@ class DaemonService:
                 for key, c in self._circuits.items()
             }
             engines = len(self._engines)
-            # Aggregate the per-session counters of every warm engine —
-            # under engine="dynamic" this includes the maintainer's
-            # update/fallback/certificate counts.
+            # Aggregate the per-session counters of every warm engine,
+            # the maintainer's update/fallback/certificate counts
+            # included.
             engine_stats: Dict[str, int] = {}
             for session in self._engines.values():
                 for stat_key, value in session.stats_dict().items():
@@ -631,7 +627,7 @@ class DaemonService:
             "admission": self.admission.as_dict(),
             "circuits": circuits,
             "engines": engines,
-            "engine": self.config.engine,
+            "engine": IncrementalEngine.engine,
             "engine_stats": engine_stats,
             "jobs": self.config.jobs,
             "backend": self.config.backend,

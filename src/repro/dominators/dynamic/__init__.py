@@ -1,23 +1,16 @@
-"""True dynamic dominator maintenance (``engine="dynamic"``).
+"""Dynamic dominator maintenance for the incremental engine.
 
-This package is the incremental engine's alternative to the
-patch-or-rebuild heuristic: :class:`DynamicDominators` keeps the
-dominator tree of a live cone correct across streamed edits with
-depth-based-search insertions and affected-region sweeps (see
-:mod:`.maintainer`), and :mod:`.lowhigh` provides the low-high-order
-certificate that *proves* the maintained tree correct in O(n + m) —
-wired into :mod:`repro.check` as the fourth oracle.
-
-The :data:`ENGINES` registry mirrors
-:data:`repro.dominators.shared.BACKENDS`: every entry point that takes
-an ``engine=`` argument validates it through :func:`validate_engine`,
-so an unknown engine fails identically everywhere (the CLI maps the
-``ValueError`` to an exit-2 argparse error).
+:class:`DynamicDominators` keeps the dominator tree of a live cone
+correct across streamed edits with depth-based-search insertions and
+affected-region sweeps (see :mod:`.maintainer`), falling back to one
+static rebuild only when the affected region is too large.
+:mod:`.lowhigh` provides the low-high-order certificate that *proves*
+the maintained tree correct in O(n + m) — wired into
+:mod:`repro.check` as the fourth oracle and run by the daemon after
+every served edit.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 from .lowhigh import (
     LowHighError,
@@ -35,24 +28,7 @@ from .maintainer import (
     DynamicTree,
 )
 
-#: Registered incremental-engine strategies: ``patch`` is the original
-#: dirty-cone idom patch with full-rebuild fallback; ``dynamic`` is the
-#: maintained tree of this package.
-ENGINES: Tuple[str, ...] = ("patch", "dynamic")
-
-
-def validate_engine(engine: str) -> str:
-    """Return ``engine`` if registered, raise ``ValueError`` otherwise."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}"
-        )
-    return engine
-
-
 __all__ = [
-    "ENGINES",
-    "validate_engine",
     "DynamicDominators",
     "DynamicStats",
     "DynamicTree",

@@ -347,7 +347,7 @@ class DynamicDominators:
 
         Flow successors are signal fanins, so this is the union of the
         seeds' upstream cones — the same direction
-        :func:`repro.incremental.idom_update.affected_cone` walks.
+        :func:`repro.incremental.invalidate.affected_cone` walks.
         """
         graph = self.graph
         region = set(seeds)

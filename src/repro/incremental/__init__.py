@@ -24,8 +24,7 @@ from .edits import (
     xor_to_nand_edit,
 )
 from .engine import EngineStats, IncrementalEngine
-from .idom_update import affected_cone, downstream_of, update_idoms
-from .invalidate import invalidate_dirty
+from .invalidate import affected_cone, downstream_of, invalidate_dirty
 
 __all__ = [
     "AddGate",
@@ -44,6 +43,5 @@ __all__ = [
     "invalidate_dirty",
     "load_script",
     "loads_script",
-    "update_idoms",
     "xor_to_nand_edit",
 ]

@@ -10,17 +10,24 @@ untouched gates never move), and keeps a cross-edit
 regions.  Queries between edits recompute only the regions the edits
 could have affected:
 
-* edits are applied eagerly to the graph but dominator state is lazy —
-  the dirty set accumulates until the next query ("flush");
-* a flush refreshes the single-vertex dominator tree — patched inside
-  the edit's affected cone (:mod:`repro.incremental.idom_update`) when
-  the cone is small, rebuilt from scratch otherwise — and runs the
-  dirty-cone invalidation of :mod:`repro.incremental.invalidate` over
-  the region cache (the expensive max-flow expansions are the entries
-  being preserved);
+* edits are applied eagerly to the graph and recorded as elementary
+  edge/vertex deltas, but dominator state is lazy — the deltas
+  accumulate until the next query ("flush");
+* a flush folds the queued deltas into a
+  :class:`~repro.dominators.dynamic.DynamicDominators` maintainer in one
+  coalesced batch (:func:`update_idoms`), which re-folds the immediate
+  dominators of the affected region in place and rebuilds statically
+  only when that region exceeds its threshold;
+* the region the maintainer reports doubles as the invalidation cone
+  for the dirty-set eviction of :mod:`repro.incremental.invalidate`
+  over the region cache;
 * chain queries then run through a regular
   :class:`~repro.core.algorithm.ChainComputer` bound to the surviving
   cache — untouched regions are cache hits, dirty ones recompute.
+
+:meth:`IncrementalEngine.check_certificate` proves the maintained tree
+correct with the O(n + m) low-high certificate; the daemon runs it after
+every served edit.
 
 A failed edit (unknown name, cycle, removing the root) raises before or
 mid-way through a batch; already-applied elementary operations of that
@@ -31,7 +38,7 @@ batch stay applied — replay scripts should be validated with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..core.algorithm import ChainComputer
 from ..core.chain import DominatorChain
@@ -42,18 +49,31 @@ from ..dominators.dynamic import (
     VERTEX_ADD,
     VERTEX_REMOVE,
     DynamicDominators,
-    certify_tree,
-    validate_engine,
 )
 from ..dominators.shared import DEFAULT_BACKEND, validate_backend
-from ..dominators.single import circuit_dominator_tree
-from ..dominators.tree import DominatorTree
+
+# Not called here since the engine maintains its tree dynamically; kept
+# importable because the benchmark tracer (perfbench/spans.py) wraps
+# ``repro.incremental.engine.circuit_dominator_tree`` by name.
+from ..dominators.single import circuit_dominator_tree  # noqa: F401
 from ..errors import CircuitError
 from ..graph.circuit import Circuit
 from ..graph.indexed import IndexedGraph
 from .edits import AddGate, Edit, RemoveGate, ReplaceSubgraph, Rewire
-from .idom_update import affected_cone, downstream_of, update_idoms
-from .invalidate import invalidate_dirty
+from .invalidate import downstream_of, invalidate_dirty
+
+
+def update_idoms(
+    maintainer: DynamicDominators, deltas: Sequence[tuple]
+) -> Optional[Set[int]]:
+    """Fold one flush's queued deltas into the maintained dominator tree.
+
+    The single step through which every flush after the first updates
+    the tree.  Returns the affected region the maintainer re-folded — the
+    invalidation cone for the region cache — or ``None`` when the region
+    exceeded the maintainer's threshold and it rebuilt statically.
+    """
+    return maintainer.apply_batch(deltas)
 
 
 @dataclass
@@ -67,10 +87,9 @@ class EngineStats:
     edits: int = 0  # edit records applied (a ReplaceSubgraph counts once)
     operations: int = 0  # elementary graph mutations
     flushes: int = 0  # dominator-state refreshes (one per dirty query)
-    tree_patches: int = 0  # flushes served by the dirty-cone idom update
-    tree_rebuilds: int = 0  # flushes that fell back to a full rebuild
-    dynamic_updates: int = 0  # flushes served by the dynamic maintainer
-    dynamic_fallbacks: int = 0  # dynamic flushes over the region threshold
+    tree_rebuilds: int = 0  # static builds: the first flush plus fallbacks
+    dynamic_updates: int = 0  # flushes served by the in-place update
+    dynamic_fallbacks: int = 0  # flushes over the region threshold
     certificate_checks: int = 0  # low-high certificate runs
     evictions: int = 0  # cache entries dropped by edit invalidation
     chain_hits: int = 0  # queries served by an already-assembled chain
@@ -81,7 +100,6 @@ class EngineStats:
             "edits": self.edits,
             "operations": self.operations,
             "flushes": self.flushes,
-            "tree_patches": self.tree_patches,
             "tree_rebuilds": self.tree_rebuilds,
             "dynamic_updates": self.dynamic_updates,
             "dynamic_fallbacks": self.dynamic_fallbacks,
@@ -101,9 +119,6 @@ class IncrementalEngine:
     graph:
         The cone to serve.  The engine edits this object **in place**;
         hand it a private copy if the original must stay pristine.
-    algorithm:
-        Single-dominator algorithm for tree rebuilds (``"lt"``,
-        ``"iterative"`` or ``"naive"``).
     backend:
         Chain-construction backend handed to every
         :class:`~repro.core.algorithm.ChainComputer` the engine builds
@@ -111,17 +126,9 @@ class IncrementalEngine:
         the reference path).  Cached region entries are
         backend-agnostic — every backend produces identical member
         orderings — so a session's cache survives any choice.
-    engine:
-        Dominator-maintenance strategy for flushes.  ``"patch"``
-        (default) is the original dirty-cone idom patch with
-        full-rebuild fallback; ``"dynamic"`` keeps a
-        :class:`~repro.dominators.dynamic.DynamicDominators` maintainer
-        updated in place from the edit stream — no full-graph pass per
-        flush — with a static rebuild only when the affected region
-        exceeds its threshold.  Both engines serve bit-identical chains.
     metrics:
         Optional :class:`repro.service.metrics.MetricsRegistry`.  The
-        dynamic engine counts ``dynamic.updates``,
+        engine counts ``dynamic.updates``,
         ``dynamic.fallback_rebuilds`` and ``dynamic.certificate_checks``
         and observes ``dynamic.affected_region_size`` per batch.
 
@@ -136,18 +143,18 @@ class IncrementalEngine:
     True
     """
 
+    #: The dominator-maintenance strategy, reported in :meth:`stats_dict`.
+    #: Read-only: the dynamic maintainer is the only one.
+    engine = "dynamic"
+
     def __init__(
         self,
         graph: IndexedGraph,
-        algorithm: str = "lt",
         backend: str = DEFAULT_BACKEND,
-        engine: str = "patch",
         metrics=None,
     ):
         self.graph = graph
-        self.algorithm = algorithm
         self.backend = validate_backend(backend)
-        self.engine = validate_engine(engine)
         self.metrics = metrics
         self.cache = RegionCache()
         self.gate_types: Dict[str, str] = {}
@@ -161,13 +168,11 @@ class IncrementalEngine:
         self.stats = EngineStats(cache=self.cache.stats)
         self._dirty: Set[int] = set()
         self._computer: Optional[ChainComputer] = None
-        self._tree = None  # DominatorTree (patch) or DynamicTree (dynamic)
-        # Dynamic engine state: the maintainer is built lazily on the
-        # first flush; elementary edge/vertex deltas queue up between
-        # flushes and are folded in as one coalesced batch per cone.
+        # The maintainer is built lazily on the first flush; elementary
+        # edge/vertex deltas queue up between flushes and are folded in
+        # as one coalesced batch per cone.
         self._maintainer: Optional[DynamicDominators] = None
         self._deltas: List[tuple] = []
-        self._record_deltas = self.engine == "dynamic"
         # assembled-chain cache: u -> (chain, its region cells at assembly
         # time).  A cell is (start, RegionEntry-identity); the chain is
         # valid while the tree chain visits the same cells and every cell
@@ -183,14 +188,12 @@ class IncrementalEngine:
         cls,
         circuit: Circuit,
         output: Optional[str] = None,
-        algorithm: str = "lt",
         backend: str = DEFAULT_BACKEND,
-        engine: str = "patch",
         metrics=None,
     ) -> "IncrementalEngine":
         """Open a session on one output cone of a netlist."""
         graph = IndexedGraph.from_circuit(circuit, output)
-        engine = cls(graph, algorithm, backend=backend, engine=engine, metrics=metrics)
+        engine = cls(graph, backend=backend, metrics=metrics)
         for name in graph.names:
             if name is not None and name in circuit:
                 engine.gate_types[name] = circuit.node(name).type.value
@@ -203,7 +206,7 @@ class IncrementalEngine:
         """Apply edit records in order; returns the touched vertex indices.
 
         Dominator state is not recomputed here — the next query pays one
-        tree rebuild plus recomputation of the invalidated regions only.
+        tree update plus recomputation of the invalidated regions only.
 
         A failing edit mid-batch leaves the earlier edits applied (see
         the module docstring); the vertices they touched are still folded
@@ -237,43 +240,41 @@ class IncrementalEngine:
 
     def _apply_one(self, edit: Edit, touched: Set[int]) -> None:
         graph = self.graph
-        record = self._deltas.append if self._record_deltas else None
+        record = self._deltas.append
         if isinstance(edit, AddGate):
             fanins = [graph.index_of(f) for f in edit.fanins]
             v = graph.add_vertex(edit.name)
-            if record is not None:
-                record((VERTEX_ADD, v))
+            record((VERTEX_ADD, v))
             for f in fanins:
                 graph.add_edge(f, v)
-                if record is not None:
-                    record((EDGE_ADD, f, v))
+                record((EDGE_ADD, f, v))
             touched.add(v)
             touched.update(fanins)
             self.gate_types[edit.name] = edit.gate_type
             self.stats.operations += 1 + len(fanins)
         elif isinstance(edit, RemoveGate):
             v = graph.index_of(edit.name)
-            old_preds = list(graph.pred[v]) if record is not None else ()
-            old_succs = list(graph.succ[v]) if record is not None else ()
+            old_preds = list(graph.pred[v])
+            old_succs = list(graph.succ[v])
             touched.update(graph.kill_vertex(v))
-            if record is not None:  # only after the kill succeeded
-                for p in old_preds:
-                    record((EDGE_REMOVE, p, v))
-                for s in old_succs:
-                    record((EDGE_REMOVE, v, s))
-                record((VERTEX_REMOVE, v))
+            # Recorded only after the kill succeeded.
+            for p in old_preds:
+                record((EDGE_REMOVE, p, v))
+            for s in old_succs:
+                record((EDGE_REMOVE, v, s))
+            record((VERTEX_REMOVE, v))
             self.gate_types.pop(edit.name, None)
             self.stats.operations += 1
         elif isinstance(edit, Rewire):
             v = graph.index_of(edit.name)
             fanins = [graph.index_of(f) for f in edit.fanins]
-            old_preds = list(graph.pred[v]) if record is not None else ()
+            old_preds = list(graph.pred[v])
             touched.update(graph.set_fanins(v, fanins))
-            if record is not None:  # only after the rewire succeeded
-                for p in old_preds:
-                    record((EDGE_REMOVE, p, v))
-                for f in fanins:
-                    record((EDGE_ADD, f, v))
+            # Recorded only after the rewire succeeded.
+            for p in old_preds:
+                record((EDGE_REMOVE, p, v))
+            for f in fanins:
+                record((EDGE_ADD, f, v))
             if edit.gate_type is not None:
                 self.gate_types[edit.name] = edit.gate_type
             self.stats.operations += 1
@@ -292,53 +293,18 @@ class IncrementalEngine:
     # queries
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Refresh dominator state now (queries do this automatically)."""
-        if self._computer is not None and not self._dirty:
-            return
-        if self.engine == "dynamic":
-            self._flush_dynamic()
-            return
-        tree: Optional[DominatorTree] = None
-        cone = downstream = None
-        if self._dirty:
-            cone = affected_cone(self.graph, self._dirty)
-            downstream = downstream_of(self.graph, self._dirty)
-            if self._tree is not None:
-                idoms = update_idoms(
-                    self.graph, self._tree.idom, self._dirty, cone=cone
-                )
-                if idoms is not None:
-                    tree = DominatorTree(idoms, self.graph.root)
-                    self.stats.tree_patches += 1
-        if tree is None:
-            tree = circuit_dominator_tree(self.graph, self.algorithm)
-            self.stats.tree_rebuilds += 1
-        if self._dirty:
-            self.stats.evictions += invalidate_dirty(
-                self.cache, self.graph, tree, self._dirty, cone, downstream
-            )
-            self._dirty.clear()
-        self._tree = tree
-        self._computer = ChainComputer(
-            self.graph,
-            self.algorithm,
-            tree=tree,
-            region_cache=self.cache,
-            backend=self.backend,
-        )
-        self.stats.flushes += 1
+        """Refresh dominator state now (queries do this automatically).
 
-    def _flush_dynamic(self) -> None:
-        """Dynamic-engine flush: fold queued deltas into the maintainer.
-
-        Unlike the patch path this never pays a full-graph pass when the
-        affected region is small: the maintainer updates its arrays in
-        place, the live :class:`~repro.dominators.dynamic.DynamicTree`
+        Folds the queued deltas into the maintainer, which updates its
+        arrays in place: no full-graph pass when the affected region is
+        small.  The live :class:`~repro.dominators.dynamic.DynamicTree`
         view is reused as-is, and the :class:`ChainComputer` is built
         with ``shared_index=False`` so no per-version cone index is
         rebuilt either.  The region the maintainer reports doubles as
         the invalidation cone for the region cache.
         """
+        if self._computer is not None and not self._dirty:
+            return
         deltas, self._deltas = self._deltas, []
         cone = None
         if self._maintainer is None:
@@ -347,7 +313,7 @@ class IncrementalEngine:
             self._maintainer = DynamicDominators(self.graph)
             self.stats.tree_rebuilds += 1
         elif deltas:
-            cone = self._maintainer.apply_batch(deltas)
+            cone = update_idoms(self._maintainer, deltas)
             if cone is None:
                 self.stats.dynamic_fallbacks += 1
                 self.stats.tree_rebuilds += 1
@@ -373,10 +339,8 @@ class IncrementalEngine:
                 self.cache, self.graph, tree, self._dirty, cone, downstream
             )
             self._dirty.clear()
-        self._tree = tree
         self._computer = ChainComputer(
             self.graph,
-            self.algorithm,
             tree=tree,
             region_cache=self.cache,
             backend=self.backend,
@@ -391,17 +355,13 @@ class IncrementalEngine:
         verifies the ancestor property, exact reachability span and the
         low-high condition (:mod:`repro.dominators.dynamic.lowhigh`).
         An empty list *proves* the tree is the dominator tree of the
-        live graph, regardless of which engine maintained it — this is
-        the fourth :mod:`repro.check` oracle, run after every edit
-        batch in the fuzzer's incremental cases and the daemon's edit
-        path.
+        live graph — this is the fourth :mod:`repro.check` oracle, run
+        after every edit batch in the fuzzer's incremental cases and
+        after every served edit in the daemon.
         """
         self.flush()
-        assert self._computer is not None
-        if self._maintainer is not None:
-            violations = self._maintainer.certificate()
-        else:
-            violations = certify_tree(self.graph, self._computer.tree.idom)
+        assert self._maintainer is not None
+        violations = self._maintainer.certificate()
         self.stats.certificate_checks += 1
         if self.metrics is not None:
             self.metrics.inc("dynamic.certificate_checks")
@@ -421,10 +381,9 @@ class IncrementalEngine:
     def tree(self):
         """The current dominator tree (flushes if stale).
 
-        A :class:`~repro.dominators.tree.DominatorTree` under
-        ``engine="patch"``; the live
-        :class:`~repro.dominators.dynamic.DynamicTree` view under
-        ``engine="dynamic"`` (same query surface).
+        The maintainer's live
+        :class:`~repro.dominators.dynamic.DynamicTree` view, with the
+        query surface of :class:`~repro.dominators.tree.DominatorTree`.
         """
         self.flush()
         assert self._computer is not None

@@ -28,10 +28,12 @@ produce — the equivalence the property suite fuzzes
 Check 3 is implemented with the *union* cone: evict when ``start`` can
 reach some dirty vertex **and** some dirty vertex can reach ``sink``.
 That is a superset of the exact per-``d`` test (for a single-vertex
-dirty set they coincide), so it stays sound, and it needs only two
-whole-graph BFS passes — the same affected cone
-:mod:`repro.incremental.idom_update` computes for the dominator-tree
-patch, so a flush shares the work.
+dirty set they coincide), so it stays sound, and it needs at most two
+whole-graph BFS passes.  The engine's flush passes the maintainer's
+affected region in as the upstream cone — it holds every vertex that
+reaches the source of a changed edge, and a created path runs through
+the source of its added edge — so only the downstream pass is paid
+there.
 
 Cost: O(E) for the two reachability passes plus O(entries) bookkeeping —
 independent of how expensive the cached flow expansions were, which is
@@ -39,19 +41,44 @@ the whole point.
 
 This is the circuit-DAG analogue of the edit-localized invalidation
 that Georgiadis et al.'s dynamic-dominator study found to dominate
-recomputation; the dominator tree itself is small enough to rebuild per
-flush, and only the region expansions (max-flow + matching-vector
-walks) are worth preserving.
+recomputation; the dominator tree is maintained in place by
+:mod:`repro.dominators.dynamic`, and the region expansions are the
+entries worth preserving.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, Optional, Set
 
 from ..core.region_cache import RegionCache, RegionEntry
 from ..dominators.tree import DominatorTree
 from ..graph.indexed import IndexedGraph
-from .idom_update import affected_cone, downstream_of
+
+
+def affected_cone(graph: IndexedGraph, dirty: Iterable[int]) -> Set[int]:
+    """Vertices that can reach a dirty vertex (the dirty set included)."""
+    seen: Set[int] = {d for d in dirty if 0 <= d < graph.n}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for p in graph.pred[v]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+def downstream_of(graph: IndexedGraph, dirty: Iterable[int]) -> Set[int]:
+    """Vertices reachable from a dirty vertex (the dirty set included)."""
+    seen: Set[int] = {d for d in dirty if 0 <= d < graph.n}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for w in graph.succ[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _boundary_ok(
@@ -78,8 +105,8 @@ def invalidate_dirty(
     ``graph`` and ``tree`` must be the **post-edit** graph and its
     refreshed dominator tree.  ``cone``/``downstream`` may pass in the
     precomputed :func:`affected_cone` / :func:`downstream_of` of the
-    live dirty vertices to share work with the tree patch.  Returns the
-    number of evictions.
+    live dirty vertices (or any superset) to share work with the tree
+    update.  Returns the number of evictions.
     """
     dirty_set = frozenset(dirty)
     live_dirty = [d for d in dirty_set if 0 <= d < graph.n and graph.is_alive(d)]

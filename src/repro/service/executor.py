@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.biconnectivity import validate_prefilter
 from ..core.algorithm import ChainComputer
 from ..dominators.kernels import validate_kernels
 from ..dominators.shared import DEFAULT_BACKEND, cone_graph, validate_backend
@@ -55,7 +54,6 @@ def sequential_cone_chains(
     metrics: Optional[MetricsRegistry] = None,
     backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
-    prefilter: str = "none",
 ) -> Dict[str, Dict[str, object]]:
     """Chains of one output cone, serialized — the unit of all execution.
 
@@ -67,22 +65,13 @@ def sequential_cone_chains(
     circuit's :class:`~repro.dominators.shared.SharedCircuitIndex`, so a
     sweep over *k* outputs converts the string-keyed netlist to int
     adjacency once instead of *k* times.
-
-    ``prefilter="biconn"`` lets the :class:`ChainComputer` certify
-    tree-skeleton cones empty before any region work; the answers are
-    bit-identical to the computed ones (the filter is sound), so the
-    setting does not enter artifact-store keys.
     """
     if backend != "legacy":
         graph = cone_graph(circuit, output)
     else:
         graph = IndexedGraph.from_circuit(circuit, output)
     computer = ChainComputer(
-        graph,
-        metrics=metrics,
-        backend=backend,
-        kernels=kernels,
-        prefilter=prefilter,
+        graph, metrics=metrics, backend=backend, kernels=kernels
     )
     if targets is None:
         indices = graph.sources()
@@ -111,8 +100,8 @@ def pairs_in_chain_dict(chain_dict: Dict[str, object]) -> int:
 def _process_chunk(payload):
     """Worker entry: compute every cone job of one chunk.
 
-    ``payload`` is ``(circuit, cone_jobs, backend[, kernels[, prefilter]])``
-    — the trailing slots may be omitted by older callers — where the
+    ``payload`` is ``(circuit, cone_jobs, backend[, kernels])`` — the
+    trailing slot may be omitted by older callers — where the
     circuit slot is either a pickled :class:`Circuit` or a
     :class:`~repro.daemon.shm.CircuitRef` into a published
     shared-memory segment (resolved through the worker-local attach
@@ -122,7 +111,6 @@ def _process_chunk(payload):
     """
     circuit, cone_jobs, backend, *rest = payload
     kernels = rest[0] if rest else "python"
-    prefilter = rest[1] if len(rest) > 1 else "none"
     registry = MetricsRegistry()
     if not isinstance(circuit, Circuit):
         from ..daemon.shm import attach_circuit
@@ -139,7 +127,6 @@ def _process_chunk(payload):
             metrics=registry,
             backend=backend,
             kernels=kernels,
-            prefilter=prefilter,
         )
         wall = time.perf_counter() - start
         registry.observe("executor.job_seconds", wall)
@@ -196,13 +183,6 @@ class ExecutorConfig:
         dispatch when shared memory is unavailable.  Call
         :meth:`ParallelExecutor.close` (or use the executor as a
         context manager) to unlink the segments.
-    prefilter:
-        ``"none"`` (default) or ``"biconn"`` — the Schmidt
-        chain-decomposition pre-filter
-        (:mod:`repro.analysis.biconnectivity`) forwarded to every cone
-        job; certified cones answer empty chains without region work.
-        Results are bit-identical either way, so the artifact-store
-        keys are unaffected.
     """
 
     jobs: int = 1
@@ -212,12 +192,10 @@ class ExecutorConfig:
     backend: str = DEFAULT_BACKEND
     shared_circuits: bool = False
     kernels: str = "python"
-    prefilter: str = "none"
 
     def __post_init__(self) -> None:
         validate_backend(self.backend)
         validate_kernels(self.kernels)
-        validate_prefilter(self.prefilter)
         if self.jobs <= 0:
             raise ValueError(
                 f"jobs must be a positive integer, got {self.jobs}"
@@ -461,7 +439,6 @@ class ParallelExecutor:
                             chunk,
                             self.config.backend,
                             self.config.kernels,
-                            self.config.prefilter,
                         ),
                     ),
                 )
@@ -502,7 +479,6 @@ class ParallelExecutor:
                 metrics=self.metrics,
                 backend=self.config.backend,
                 kernels=self.config.kernels,
-                prefilter=self.config.prefilter,
             )
             wall = time.perf_counter() - start
             self.metrics.observe("executor.job_seconds", wall)

@@ -1,5 +1,6 @@
 """Tests for the seeded differential fuzzer (repro.check.fuzzer)."""
 
+from repro.check import check_incremental
 from repro.check.fuzzer import (
     _applicable_edits,
     generate_case,
@@ -63,10 +64,12 @@ class TestGenerateCase:
             for c in cases
             if not c.kind.startswith("incremental[")
         )
-        # Streams alternate engines and draw every edit schedule.
-        assert {c.engine for c in incremental} == {"patch", "dynamic"}
-        schedules = {c.kind.split("[")[1].split(",")[0] for c in incremental}
+        # Streams draw every edit schedule, and each replays clean
+        # against from-scratch chains and the low-high certificate.
+        schedules = {c.kind.split("[")[1].rstrip("]") for c in incremental}
         assert schedules == {"mixed", "deletion_heavy", "interleaved"}
+        for case in incremental[:8]:
+            assert check_incremental(case.circuit, case.edits) == []
 
 
 class TestRunFuzz:

@@ -233,11 +233,10 @@ class TestBackendCrossCheck:
             assert check_incremental(circuit, edits, backend=backend) == []
 
 
-class TestPrefilterOracle:
-    """Kind ``prefilter``: biconn certificates audited by the oracle."""
+class TestSequentialOracle:
+    """Kind ``sequential``: core vs. unrolled-frame-0 chain agreement."""
 
-    def test_certified_cones_confirmed_across_suite(self):
-        from repro.analysis.biconnectivity import has_no_double_dominator
+    def test_suite_and_sequential_cores_confirmed(self):
         from repro.circuits import get_benchmark, sequential_suite
         from repro.graph.sequential import extract_combinational_core
 
@@ -248,35 +247,9 @@ class TestPrefilterOracle:
             extract_combinational_core(entry.sequential(0.25))
             for entry in sequential_suite().values()
         ]
-        certified = 0
         for circuit in circuits:
             report = check_circuit(circuit)
             assert report.ok, report.mismatches[:3]
-            for out in circuit.outputs:
-                graph = IndexedGraph.from_circuit(circuit, out)
-                if has_no_double_dominator(graph):
-                    certified += 1
-        # The sweep saw cones the pre-filter would actually skip, and
-        # the oracle confirmed every one of them pair-free.
-        assert certified > 0
-
-    def test_bogus_certificate_detected(self, monkeypatch):
-        # Force the filter to certify figure 2, which has real pairs:
-        # the oracle must flag the unsound certificate.
-        import repro.check.oracle as oracle_mod
-
-        monkeypatch.setattr(
-            oracle_mod, "has_no_double_dominator", lambda graph: True
-        )
-        graph = IndexedGraph.from_circuit(figure2_circuit())
-        mismatches = check_cone(graph)
-        prefilter = [m for m in mismatches if m.kind == "prefilter"]
-        assert prefilter
-        assert "pair-free" in prefilter[0].detail
-
-
-class TestSequentialOracle:
-    """Kind ``sequential``: core vs. unrolled-frame-0 chain agreement."""
 
     def test_generators_agree(self):
         from repro.check import check_sequential

@@ -280,15 +280,15 @@ class TestSweepAndEdit:
 
 
 class TestDynamicEngine:
-    """The daemon under ``engine="dynamic"``: same answers, certified."""
+    """The daemon's dynamic engines: same answers, every edit certified."""
 
     def test_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ServiceConfig(engine="bogus")
+        # One engine, no selector; a config that still names one fails.
+        with pytest.raises(TypeError):
+            ServiceConfig(engine="patch")
 
     def test_edits_serve_identical_chains(self, circuit):
-        config = ServiceConfig(engine="dynamic", use_shared_memory=False)
-        with DaemonService(config) as svc:
+        with DaemonService(ServiceConfig()) as svc:
             key = _load(svc, circuit)
             out = circuit.outputs[0]
             svc.handle(_request("chain", {"circuit": key, "output": out}))
@@ -359,10 +359,75 @@ class TestDynamicEngine:
             assert counters.get("dynamic.certificate_checks") == len(edits)
             assert "dynamic.certificate_failures" not in counters
 
+    def test_certificate_failure_retires_engine(self, circuit):
+        with DaemonService(ServiceConfig()) as svc:
+            key = _load(svc, circuit)
+            out = circuit.outputs[0]
+            svc.handle(_request("chain", {"circuit": key, "output": out}))
+            with svc._lock:
+                engine = svc._engines[(key, out)]
+            # Corrupt the maintained tree: re-hang a vertex whose true
+            # idom is not the output directly under the output.
+            idom = engine._maintainer.idom
+            graph = engine.graph
+            victim = next(
+                v
+                for v in graph.sources()
+                if idom[v] not in (-1, graph.root)
+            )
+            idom[victim] = graph.root
+            # An edit far from the victim: a dangling buffer on another
+            # input only sweeps that input's region, so the corruption
+            # survives until the certificate runs.
+            spare = next(
+                i for i in circuit.inputs if i != graph.name_of(victim)
+            )
+            resp = svc.handle(
+                _request(
+                    "edit",
+                    {
+                        "circuit": key,
+                        "output": out,
+                        "edits": [
+                            {
+                                "op": "add-gate",
+                                "name": "dangling",
+                                "fanins": [spare],
+                                "type": "buf",
+                            }
+                        ],
+                    },
+                )
+            )
+            assert not resp["ok"]
+            assert resp["error"]["code"] == 500
+            assert resp["error"]["reason"] == "certificate_failed"
+            counters = svc.metrics.snapshot()["counters"]
+            assert counters["daemon.certificate_failures"] == 1
+            with svc._lock:
+                assert (key, out) not in svc._engines
+            # The next query opens a fresh engine on the edited netlist
+            # and serves the from-scratch chains.
+            query = {"circuit": key, "output": out}
+            resp = svc.handle(_request("chain", query))
+            assert resp["ok"], resp
+            counters = svc.metrics.snapshot()["counters"]
+            assert counters["daemon.engines_opened"] == 2
+            with svc._lock:
+                updated = svc._circuits[key]
+            assert "dangling" in updated
+            ref_graph = IndexedGraph.from_circuit(updated, out)
+            ref = ChainComputer(ref_graph)
+            want = {
+                ref_graph.name_of(u): ref.chain(u).to_dict()
+                for u in ref_graph.sources()
+                if ref.tree.is_reachable(u)
+            }
+            assert resp["result"]["chains"] == want
+
     @needs_shm
     def test_dynamic_edit_retires_shared_segment(self, circuit):
-        config = ServiceConfig(jobs=2, engine="dynamic")
-        with DaemonService(config) as svc:
+        with DaemonService(ServiceConfig(jobs=2)) as svc:
             key = _load(svc, circuit)
             assert svc._pool.ref(key) is not None
             out = circuit.outputs[0]
@@ -385,7 +450,7 @@ class TestDynamicEngine:
                 )
             )
             assert resp["ok"], resp
-            # Edit requests retire shm segments exactly as under patch.
+            # Edit requests on an engine retire its shm segment.
             assert svc._pool.ref(key) is None
 
 

@@ -19,7 +19,6 @@ from repro.dominators.dynamic import (
     LowHighError,
     certify_tree,
     compute_low_high,
-    validate_engine,
     verify_low_high,
 )
 from repro.dominators.lengauer_tarjan import UNREACHABLE
@@ -218,13 +217,6 @@ def test_dynamic_tree_matches_dominator_tree():
     if dead is not None:
         with pytest.raises(UnreachableVertexError):
             live.chain(dead)
-
-
-def test_validate_engine_rejects_unknown():
-    assert validate_engine("patch") == "patch"
-    assert validate_engine("dynamic") == "dynamic"
-    with pytest.raises(ValueError, match="unknown engine"):
-        validate_engine("bogus")
 
 
 # ----------------------------------------------------------------------

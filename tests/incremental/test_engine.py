@@ -19,7 +19,7 @@ from repro.incremental import (
 
 def assert_equivalent(engine):
     """Engine chains == from-scratch chains on the engine's live graph."""
-    fresh = ChainComputer(engine.graph, engine.algorithm)
+    fresh = ChainComputer(engine.graph)
     tree = engine.tree
     for u in engine.graph.sources():
         if not tree.is_reachable(u):
@@ -177,29 +177,55 @@ class TestInvalidationPrecision:
         assert engine.cache_stats.invalidations >= entries
 
 
+def deliver_as_patch(engine, edits):
+    """All edits in one ``apply``: the next flush folds them together."""
+    engine.apply(*edits)
+
+
+def deliver_dynamically(engine, edits):
+    """One ``apply`` and one flush per edit: the maintainer updates its
+    tree once per edit."""
+    for edit in edits:
+        engine.apply(edit)
+        engine.flush()
+
+
+DELIVERY = {"patch": deliver_as_patch, "dynamic": deliver_dynamically}
+
+
 class TestSingleFanoutCells:
     """Chains crossing never-expanded single-fanout cells (Figure 2:
-    ``e -> h -> t`` each have one fanout)."""
+    ``e -> h -> t`` each have one fanout), with the edits delivered as
+    one batch (``patch``) or one flushed edit at a time (``dynamic``)."""
 
-    @pytest.mark.parametrize("kind", ["patch", "dynamic"])
+    @pytest.mark.parametrize("kind", sorted(DELIVERY))
     def test_requery_without_edits_hits(self, kind):
-        engine = IncrementalEngine.from_circuit(figure2_circuit(), engine=kind)
+        engine = IncrementalEngine.from_circuit(figure2_circuit())
+        # A buffer spliced into region 2 (k -> z -> m) leaves e, h and t
+        # single-fanout, so e's chain still needs no cached region.
+        DELIVERY[kind](
+            engine, (AddGate("z", ("k",), "buf"), Rewire("m", ("z",)))
+        )
         first = engine.chain("e")
         assert engine.cache.entry_for(engine.resolve("e")) is None
         assert engine.chain("e") is first
         assert engine.stats.chain_hits == 1
+        assert_equivalent(engine)
 
-    @pytest.mark.parametrize("kind", ["patch", "dynamic"])
+    @pytest.mark.parametrize("kind", sorted(DELIVERY))
     def test_second_fanout_recomputes(self, kind):
-        engine = IncrementalEngine.from_circuit(figure2_circuit(), engine=kind)
+        engine = IncrementalEngine.from_circuit(figure2_circuit())
         before = engine.chain("e")
         cells = engine.tree.chain(engine.resolve("e"))
         # e now fans out to x and y, which reconverge at h: the tree
         # chain keeps its cells, but {x, y} is a new pair of e.
-        engine.apply(
-            AddGate("x", ("e",), "buf"),
-            AddGate("y", ("e",), "not"),
-            Rewire("h", ("x", "y", "d")),
+        DELIVERY[kind](
+            engine,
+            (
+                AddGate("x", ("e",), "buf"),
+                AddGate("y", ("e",), "not"),
+                Rewire("h", ("x", "y", "d")),
+            ),
         )
         after = engine.chain("e")
         assert engine.tree.chain(engine.resolve("e")) == cells

@@ -1,20 +1,44 @@
-"""Dirty-cone idom update == full recomputation, on every edit shape."""
+"""The flush's tree update == full recomputation, on every edit shape.
 
-import pytest
+``repro.incremental.engine.update_idoms`` folds one batch of recorded
+edge/vertex deltas into the engine's
+:class:`~repro.dominators.dynamic.DynamicDominators`; the cone helpers
+of :mod:`repro.incremental.invalidate` bound what an edit can touch.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.figures import figure2_circuit
 from repro.circuits.generators import cascade
+from repro.dominators.dynamic import (
+    EDGE_ADD,
+    EDGE_REMOVE,
+    VERTEX_ADD,
+    VERTEX_REMOVE,
+    DynamicDominators,
+)
 from repro.dominators.single import circuit_idoms
 from repro.graph import IndexedGraph
-from repro.incremental import affected_cone, downstream_of, update_idoms
+from repro.incremental import affected_cone, downstream_of
+from repro.incremental.engine import update_idoms
 
 from ..property.strategies import small_circuits
 
 
 def fig2_graph():
     return IndexedGraph.from_circuit(figure2_circuit())
+
+
+def kill(g, v):
+    """Kill ``v`` in place; returns the deltas the engine records."""
+    preds, succs = list(g.pred[v]), list(g.succ[v])
+    g.kill_vertex(v)
+    return (
+        [(EDGE_REMOVE, p, v) for p in preds]
+        + [(EDGE_REMOVE, v, s) for s in succs]
+        + [(VERTEX_REMOVE, v)]
+    )
 
 
 class TestCones:
@@ -42,57 +66,74 @@ class TestCones:
 class TestUpdateIdoms:
     def test_matches_full_recompute_after_edge_insert(self):
         g = fig2_graph()
-        old = circuit_idoms(g)
+        maintainer = DynamicDominators(g)
         d, h = g.index_of("d"), g.index_of("h")
         g.add_edge(d, h)
-        patched = update_idoms(g, old, {d, h})
-        assert patched == circuit_idoms(g)
+        cone = update_idoms(maintainer, [(EDGE_ADD, d, h)])
+        assert cone is not None and d in cone
+        assert maintainer.idom == circuit_idoms(g)
 
     def test_matches_after_vertex_addition(self):
         g = fig2_graph()
-        old = circuit_idoms(g)
+        maintainer = DynamicDominators(g)
         v = g.add_vertex("nb")
         g.add_edge(g.index_of("d"), v)
         g.add_edge(v, g.index_of("t"))
-        patched = update_idoms(
-            g, old, {v, g.index_of("d"), g.index_of("t")}, max_cone_fraction=1.1
-        )
-        assert patched == circuit_idoms(g)
+        deltas = [
+            (VERTEX_ADD, v),
+            (EDGE_ADD, g.index_of("d"), v),
+            (EDGE_ADD, v, g.index_of("t")),
+        ]
+        assert update_idoms(maintainer, deltas) is not None
+        assert maintainer.idom == circuit_idoms(g)
 
     def test_matches_after_kill(self):
         g = fig2_graph()
-        old = circuit_idoms(g)
-        dirty = set(g.kill_vertex(g.index_of("m")))
-        patched = update_idoms(g, old, dirty, max_cone_fraction=1.1)
-        assert patched == circuit_idoms(g)
+        maintainer = DynamicDominators(g)
+        deltas = kill(g, g.index_of("m"))
+        assert update_idoms(maintainer, deltas) is not None
+        assert maintainer.idom == circuit_idoms(g)
 
     def test_bails_on_huge_cone(self):
-        g = fig2_graph()
-        old = circuit_idoms(g)
-        # dirtying the root makes every vertex affected
-        assert update_idoms(g, old, {g.root}, max_cone_fraction=0.5) is None
+        g = IndexedGraph.from_circuit(
+            cascade(depth=20, num_inputs=6, num_outputs=1)
+        )
+        maintainer = DynamicDominators(g)
+        # a shortcut from deep in the cascade straight into the output
+        # seeds nearly every vertex: the affected region exceeds the
+        # threshold and the maintainer rebuilds statically
+        (top,) = g.pred[g.root]
+        x = max(g.pred[top], key=lambda v: len(affected_cone(g, {v})))
+        g.add_edge(x, g.root)
+        deltas = [(EDGE_ADD, x, g.root)]
+        assert update_idoms(maintainer, deltas) is None
+        assert maintainer.stats.fallback_rebuilds == 1
+        assert maintainer.idom == circuit_idoms(g)
 
     def test_bails_on_stale_boundary(self):
         g = IndexedGraph.from_circuit(cascade(depth=6, num_inputs=6, num_outputs=1))
-        old = circuit_idoms(g)
+        maintainer = DynamicDominators(g)
         u = g.sources()[-1]
         for w in list(g.succ[u]):  # u can no longer reach the root
             g.remove_edge(u, w)
-        # a dishonest dirty set that misses the change entirely
-        assert update_idoms(g, old, set()) is None
+        # a dishonest delta stream that misses the change entirely: the
+        # update has nothing to fold, and the low-high certificate
+        # rejects the stale tree
+        assert update_idoms(maintainer, []) == set()
+        assert maintainer.certificate() != []
 
     def test_disconnection_marks_unreachable(self):
         g = IndexedGraph.from_circuit(cascade(depth=6, num_inputs=6, num_outputs=1))
-        old = circuit_idoms(g)
+        maintainer = DynamicDominators(g)
         # orphan one primary input by removing all of its fanout edges
         u = g.sources()[-1]
-        dirty = {u}
+        deltas = []
         for w in list(g.succ[u]):
             g.remove_edge(u, w)
-            dirty.add(w)
-        patched = update_idoms(g, old, dirty, max_cone_fraction=1.1)
-        assert patched == circuit_idoms(g)
-        assert patched[u] == -1
+            deltas.append((EDGE_REMOVE, u, w))
+        update_idoms(maintainer, deltas)
+        assert maintainer.idom == circuit_idoms(g)
+        assert maintainer.idom[u] == -1
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,10 +141,10 @@ class TestUpdateIdoms:
 def test_random_single_edit_matches_full(data):
     circuit = data.draw(small_circuits(min_gates=2, max_gates=14))
     g = IndexedGraph.from_circuit(circuit)
-    old = circuit_idoms(g)
+    maintainer = DynamicDominators(g)
     alive = [v for v in range(g.n) if g.is_alive(v)]
     kind = data.draw(st.sampled_from(["add_edge", "remove_edge", "kill"]))
-    dirty = None
+    deltas = None
     if kind == "add_edge":
         v = alive[data.draw(st.integers(0, len(alive) - 1))]
         reach = g.reachable_from(v)
@@ -111,20 +152,19 @@ def test_random_single_edit_matches_full(data):
         if pool:
             w = pool[data.draw(st.integers(0, len(pool) - 1))]
             g.add_edge(w, v)
-            dirty = {v, w}
+            deltas = [(EDGE_ADD, w, v)]
     elif kind == "remove_edge":
         edges = [(v, w) for v in alive for w in g.succ[v]]
         if edges:
             v, w = edges[data.draw(st.integers(0, len(edges) - 1))]
             g.remove_edge(v, w)
-            dirty = {v, w}
+            deltas = [(EDGE_REMOVE, v, w)]
     else:
         pool = [v for v in alive if v != g.root]
         if pool:
-            v = pool[data.draw(st.integers(0, len(pool) - 1))]
-            dirty = set(g.kill_vertex(v))
-    if dirty is None:
+            deltas = kill(g, pool[data.draw(st.integers(0, len(pool) - 1))])
+    if deltas is None:
         return
-    patched = update_idoms(g, old, dirty, max_cone_fraction=1.1)
-    assert patched is not None
-    assert patched == circuit_idoms(g)
+    update_idoms(maintainer, deltas)
+    assert maintainer.idom == circuit_idoms(g)
+    assert maintainer.certificate() == []

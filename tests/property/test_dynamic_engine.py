@@ -1,8 +1,8 @@
 """Property: the dynamic engine is indistinguishable from recomputation.
 
-Same contract as :mod:`tests.property.test_incremental_engine` but for
-``engine="dynamic"``: after any random insert/delete/rewire stream the
-chains served by the maintained dominator tree must be *bit-identical*
+Same contract as :mod:`tests.property.test_incremental_engine`, on
+every backend: after any random insert/delete/rewire stream the chains
+served by the maintained dominator tree must be *bit-identical*
 (pairs, vectors and intervals) to a fresh from-scratch
 :class:`~repro.core.algorithm.ChainComputer` on the edited graph — on
 every construction backend — and the maintained tree must pass its
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import ChainComputer
 from repro.dominators.shared import BACKENDS
+from repro.dominators.single import circuit_idoms
 from repro.graph.builder import CircuitBuilder
 from repro.incremental import IncrementalEngine, Rewire
 
@@ -23,7 +24,7 @@ from .test_incremental_engine import draw_edit
 
 
 def assert_matches_recompute(engine, backend):
-    fresh = ChainComputer(engine.graph, engine.algorithm, backend=backend)
+    fresh = ChainComputer(engine.graph, backend=backend)
     tree = engine.tree
     for u in engine.graph.sources():
         if not tree.is_reachable(u):
@@ -60,9 +61,7 @@ def test_lateral_reparent_rewire_batch_serves_true_chains(backend):
     b = builder.and_(d, f, name="b")
     builder.and_(b, c, name="out")
     circuit = builder.finish(["out"])
-    engine = IncrementalEngine.from_circuit(
-        circuit, backend=backend, engine="dynamic"
-    )
+    engine = IncrementalEngine.from_circuit(circuit, backend=backend)
     engine.chains_for_sources()  # warm state so the edit takes the sweep
     engine.apply(Rewire("b", ("f",)), Rewire("c", ("d",)))
     tree = engine.tree
@@ -79,9 +78,7 @@ def test_lateral_reparent_rewire_batch_serves_true_chains(backend):
 def test_dynamic_engine_matches_recompute(backend, data):
     """Bit-identical chains + passing certificate after every edit."""
     circuit = data.draw(small_circuits(min_gates=4, max_gates=20))
-    engine = IncrementalEngine.from_circuit(
-        circuit, backend=backend, engine="dynamic"
-    )
+    engine = IncrementalEngine.from_circuit(circuit, backend=backend)
     engine.chains_for_sources()  # warm the cache pre-edit
     for i in range(data.draw(st.integers(1, 6))):
         engine.apply(draw_edit(data.draw, engine, i))
@@ -91,20 +88,17 @@ def test_dynamic_engine_matches_recompute(backend, data):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_dynamic_and_patch_engines_agree(data):
-    """Both engines serve identical chains over the same edit stream."""
+def test_maintained_tree_and_chains_match_static(data):
+    """The maintained idoms equal a static build, and the served chains
+    serialize identically to a from-scratch computer's, after every edit."""
     circuit = data.draw(small_circuits(min_gates=4, max_gates=18))
-    dynamic = IncrementalEngine.from_circuit(circuit, engine="dynamic")
-    patch = IncrementalEngine.from_circuit(circuit, engine="patch")
+    engine = IncrementalEngine.from_circuit(circuit)
     for i in range(data.draw(st.integers(1, 5))):
-        edit = draw_edit(data.draw, dynamic, i)
-        dynamic.apply(edit)
-        patch.apply(edit)
-        d_tree, p_tree = dynamic.tree, patch.tree
-        assert list(d_tree.idom) == list(p_tree.idom)
-        for u in dynamic.graph.sources():
-            if not d_tree.is_reachable(u):
+        engine.apply(draw_edit(data.draw, engine, i))
+        tree = engine.tree
+        assert list(tree.idom) == circuit_idoms(engine.graph)
+        fresh = ChainComputer(engine.graph)
+        for u in engine.graph.sources():
+            if not tree.is_reachable(u):
                 continue
-            assert (
-                dynamic.chain(u).to_dict() == patch.chain(u).to_dict()
-            )
+            assert engine.chain(u).to_dict() == fresh.chain(u).to_dict()

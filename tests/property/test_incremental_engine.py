@@ -27,7 +27,7 @@ from .strategies import small_circuits
 
 def assert_matches_recompute(engine):
     """Engine output == from-scratch output on the engine's live graph."""
-    fresh = ChainComputer(engine.graph, engine.algorithm)
+    fresh = ChainComputer(engine.graph)
     tree = engine.tree
     for u in engine.graph.sources():
         if not tree.is_reachable(u):

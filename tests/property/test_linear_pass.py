@@ -61,7 +61,7 @@ def test_pass_matches_shared_on_edited_cones(data):
     """One scratch across a growing, re-ordered graph and a bigger cone."""
     scratch = ConeScratch()
     small = data.draw(small_circuits(min_gates=4, max_gates=12))
-    engine = IncrementalEngine.from_circuit(small, engine="dynamic")
+    engine = IncrementalEngine.from_circuit(small)
     assert_pass_matches_shared(engine.graph, scratch)
     for i in range(data.draw(st.integers(1, 6))):
         engine.apply(draw_edit(data.draw, engine, i))

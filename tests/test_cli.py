@@ -105,23 +105,14 @@ class TestEditSession:
         assert "speedup" in out
 
     def test_dynamic_engine(self, bench_file, script_file, capsys):
-        assert (
-            main(
-                [
-                    "edit-session",
-                    bench_file,
-                    script_file,
-                    "--engine",
-                    "dynamic",
-                ]
-            )
-            == 0
-        )
+        assert main(["edit-session", bench_file, script_file]) == 0
         out = capsys.readouterr().out
         assert "engine" in out
         assert "dynamic_batches" in out
 
     def test_unknown_engine_exits_2(self, bench_file, script_file, capsys):
+        # Scripts that still pass an engine flag must get the exit-2
+        # usage error, not a run on a silently different engine.
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
@@ -133,7 +124,7 @@ class TestEditSession:
                 ]
             )
         assert excinfo.value.code == 2
-        assert "unknown engine" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_multi_output_requires_flag(self, tmp_path, script_file, capsys):
         from repro.circuits.generators import random_circuit
@@ -546,15 +537,6 @@ class TestSequentialFlag:
         assert "sin@2: 0 pairs" in out
         assert "ppi_" in out  # frame-0 pseudo-inputs reach the cone
 
-    def test_chains_prefilter_certifies(self, sequential_file, capsys):
-        assert main(
-            ["chains", sequential_file, "--sequential", "core",
-             "--output", "stream", "--prefilter", "biconn"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "certified pair-free" in captured.err
-        assert "0 pairs" in captured.out
-
     def test_check_runs_sequential_differential(
         self, sequential_file, capsys
     ):
@@ -589,16 +571,14 @@ class TestSequentialFlag:
 
         metrics_path = tmp_path / "metrics.json"
         assert main(
-            ["sweep", "--sequential", "core", "--prefilter", "biconn",
+            ["sweep", "--sequential", "core",
              "--scale", "0.25", "--no-progress",
              "--metrics", str(metrics_path)]
         ) == 0
         out = capsys.readouterr().out
         assert "s_shift" in out and "s_lfsr" in out and "s_alu" in out
-        assert "prefilter=biconn" in out
         snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["counters"]["core.prefilter_certified"] > 0
-        assert snapshot["counters"]["core.prefilter_skipped"] > 0
+        assert snapshot["counters"]["core.chains_computed"] > 0
 
     def test_sweep_sequential_unroll_view(self, capsys):
         assert main(
@@ -615,31 +595,12 @@ class TestSequentialFlag:
 
     @pytest.mark.parametrize("value", ["bogus", "tri"])
     def test_bad_prefilter_exits_2(self, value, capsys):
+        # Scripts that still pass a pre-filter flag get the exit-2
+        # usage error.
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--prefilter", value])
         assert exc.value.code == 2
-        assert "--prefilter" in capsys.readouterr().err
-
-    def test_sweep_prefilter_results_identical(self, capsys):
-        # bit-identical pair totals with and without the pre-filter
-        assert main(
-            ["sweep", "--sequential", "core", "--scale", "0.25",
-             "--no-progress"]
-        ) == 0
-        plain = capsys.readouterr().out
-        assert main(
-            ["sweep", "--sequential", "core", "--scale", "0.25",
-             "--no-progress", "--prefilter", "biconn"]
-        ) == 0
-        filtered = capsys.readouterr().out
-
-        def pair_total(text):
-            for line in text.splitlines():
-                if line.startswith("total:"):
-                    return line.split(" pairs")[0]
-            return None
-
-        assert pair_total(plain) == pair_total(filtered) is not None
+        assert "unrecognized arguments: --prefilter" in capsys.readouterr().err
 
 
 class TestTable1BackendForwarding:
