@@ -37,6 +37,7 @@ from .oracle import (
     check_incremental,
     check_low_high,
     check_sequential,
+    check_sweep,
     diff_chains,
     other_backend,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "check_incremental",
     "check_low_high",
     "check_sequential",
+    "check_sweep",
     "diff_chains",
     "dump_repro",
     "generate_case",

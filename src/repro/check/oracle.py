@@ -22,6 +22,7 @@ the failing circuit to the shrinker.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
@@ -97,6 +98,8 @@ class Mismatch:
         disagrees with the chain's own pair set), ``backend`` (the
         primary and counterpart chain backends disagree), ``kernels``
         (the numpy and python hot-path implementations disagree),
+        ``sweep`` (the production sweep of a netlist serves a chain
+        whose JSON differs from the per-cone reference's),
         ``incremental``, ``certificate`` (the dominator tree fails its
         low-high certificate), ``sequential``
         (a combinational-core chain disagrees with the frame-0 chain of
@@ -506,6 +509,70 @@ def check_cone(
     return mismatches
 
 
+def check_sweep(
+    circuit: Circuit,
+    outputs: Optional[Sequence[str]] = None,
+    report: Optional[OracleReport] = None,
+) -> List[Mismatch]:
+    """Kind ``sweep``: the production sweep against per-cone chains.
+
+    ``ParallelExecutor(ExecutorConfig(jobs=1)).sweep_circuit`` runs every
+    cone as a view of one set of circuit arrays and shares region
+    records across cones; the reference computes each cone on its own,
+    ``ChainComputer(IndexedGraph.from_circuit(circuit, out))``.  Every
+    served chain must be the reference's JSON, byte for byte and in the
+    same target order.
+    """
+    from ..service.executor import ExecutorConfig, ParallelExecutor
+
+    mismatches: List[Mismatch] = []
+    try:
+        results = ParallelExecutor(ExecutorConfig(jobs=1)).sweep_circuit(
+            circuit, outputs
+        )
+    except ReproError as exc:
+        results = []
+        mismatches.append(
+            Mismatch("sweep", circuit.name, "", "", f"sweep raised: {exc!r}")
+        )
+    for result in results:
+        out, got = result.output, result.chains
+        graph = IndexedGraph.from_circuit(circuit, out)
+        computer = ChainComputer(graph)
+        want = {
+            graph.name_of(u): computer.chain(u).to_dict()
+            for u in graph.sources()
+        }
+        if list(got) != list(want):
+            mismatches.append(
+                Mismatch(
+                    "sweep",
+                    circuit.name,
+                    out,
+                    "",
+                    f"targets {list(got)} vs reference {list(want)}",
+                )
+            )
+            continue
+        for name, chain in want.items():
+            if report is not None:
+                report.comparisons += 1
+            if json.dumps(got[name]) != json.dumps(chain):
+                mismatches.append(
+                    Mismatch(
+                        "sweep",
+                        circuit.name,
+                        out,
+                        name,
+                        f"served {json.dumps(got[name])} vs reference "
+                        f"{json.dumps(chain)}",
+                    )
+                )
+    if report is not None:
+        report.mismatches.extend(mismatches)
+    return mismatches
+
+
 def check_circuit(
     circuit: Circuit,
     outputs: Optional[Sequence[str]] = None,
@@ -515,7 +582,8 @@ def check_circuit(
     backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> OracleReport:
-    """Differential check of every requested output cone of a netlist."""
+    """Differential check of every requested output cone of a netlist,
+    then of the production sweep over them (:func:`check_sweep`)."""
     report = OracleReport(circuit.name)
     for out in outputs if outputs is not None else circuit.outputs:
         graph = IndexedGraph.from_circuit(circuit, out)
@@ -530,6 +598,7 @@ def check_circuit(
             backend=backend,
             kernels=kernels,
         )
+    check_sweep(circuit, outputs, report)
     return report
 
 

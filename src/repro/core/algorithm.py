@@ -22,6 +22,7 @@ from ..dominators import kernels as _kernels
 from ..dominators.linear import ConeScratch, region_chain_pairs
 from ..dominators.shared import (
     DEFAULT_BACKEND,
+    ConeView,
     RegionMatcher,
     SharedConeIndex,
     validate_backend,
@@ -102,7 +103,17 @@ class ChainComputer:
     Parameters
     ----------
     graph:
-        Single-output cone in signal orientation.
+        Single-output cone in signal orientation: an
+        :class:`~repro.graph.indexed.IndexedGraph`, or a
+        :class:`~repro.dominators.shared.ConeView` of a whole circuit's
+        arrays.  Over a view, targets and chains are in cone-local ids
+        (the same ids and the same chains as over the materialized
+        cone); the linear pass runs on circuit ids, each region record
+        comes from the view's sweep-wide ``(entry, sink)`` table, and a
+        record is renumbered into cone-local ids once per cone.  A view
+        takes only the defaults of ``backend``, ``kernels``,
+        ``cache_regions``, ``region_cache``, ``tree`` and
+        ``shared_index``.
     algorithm:
         Single-dominator algorithm used internally (``"lt"``,
         ``"iterative"`` or ``"naive"``).
@@ -121,8 +132,8 @@ class ChainComputer:
         object with ``inc(name)``/``observe(name, value)``).  When set,
         every :meth:`chain` call observes its wall time under
         ``core.chain_seconds`` and counts ``core.chains_computed`` and
-        ``core.region_expansions`` — the serving layer's view into the
-        algorithmic hot path.
+        ``core.region_expansions`` (over a view: distinct regions of the
+        sweep) — the serving layer's view into the algorithmic hot path.
     backend:
         ``"linear"`` (default, the production path) builds every pair
         of a region in one linear pass over the cone's own arrays
@@ -177,6 +188,28 @@ class ChainComputer:
         self.metrics = metrics
         self.backend = validate_backend(backend)
         self.kernels = _kernels.validate_kernels(kernels)
+        #: Over a view: start -> this cone's renumbered region record
+        #: (``None`` for a region without pairs).
+        self._records: Optional[Dict[int, Optional[RegionRecord]]] = None
+        if isinstance(graph, ConeView):
+            if (
+                backend != "linear"
+                or kernels != "python"
+                or not cache_regions
+                or region_cache is not None
+                or tree is not None
+                or not shared_index
+            ):
+                raise ValueError(
+                    "a cone view runs the linear pass on python with its "
+                    "sweep's region table; pass no other options"
+                )
+            self._records = {}
+            self._index = None
+            self._scratch = graph.work.scratch
+            self._tree = None
+            self.region_cache = None
+            return
         if kernels == "numpy":
             _kernels.require_numpy()
             if not shared_index or backend not in ("shared", "linear"):
@@ -222,7 +255,12 @@ class ChainComputer:
     def tree(self) -> DominatorTree:
         """The cone's dominator tree (built lazily without an index)."""
         if self._tree is None:
-            self._tree = circuit_dominator_tree(self.graph, self.algorithm)
+            if self._records is not None:
+                self._tree = self.graph.tree()
+            else:
+                self._tree = circuit_dominator_tree(
+                    self.graph, self.algorithm
+                )
         return self._tree
 
     @property
@@ -253,6 +291,8 @@ class ChainComputer:
         return result
 
     def _chain(self, u: int) -> DominatorChain:
+        if self._records is not None:
+            return self._view_chain(u)
         chain_vertices = self.tree.chain(u)
         succ = self.graph.succ
         cache = self.region_cache
@@ -282,6 +322,61 @@ class ChainComputer:
             if pairs:
                 regions.append((pairs, intervals))
         return DominatorChain.from_regions(u, regions)
+
+    def _view_chain(self, u: int) -> DominatorChain:
+        """``D(u)`` over a cone view: the idom walk of :meth:`_chain` in
+        circuit ids, composed from this cone's renumbered records."""
+        view = self.graph
+        view.require_current()
+        work = view.work
+        idom, outdeg = work.idom, work.outdeg
+        records = self._records
+        root = view.root
+        regions: List[RegionRecord] = []
+        start = view.members[u]
+        while start != root:
+            sink = idom[start]
+            # Single fanout in the cone: the bare start→sink edge.
+            if outdeg[start] != 1:
+                record = records.get(start, False)
+                if record is False:
+                    record = records[start] = self._view_record(start, sink)
+                if record is not None:
+                    regions.append(record)
+            start = sink
+        return DominatorChain.from_regions(u, regions)
+
+    def _view_record(self, start: int, sink: int) -> Optional[RegionRecord]:
+        """The region ``start → sink`` in cone-local ids, or ``None``.
+
+        The circuit-id record is computed and checked once per sweep;
+        every cone that holds the region renumbers the shared record.
+        """
+        view = self.graph
+        table = view.work.regions
+        key = (start, sink)
+        record = table.get(key)
+        if record is None:
+            _members, expanded = region_chain_pairs(
+                view, start, sink, self._scratch
+            )
+            record = table[key] = check_region_pairs(expanded)
+            if self.metrics is not None:
+                self.metrics.inc("core.region_expansions")
+        pairs, intervals = record
+        if not pairs:
+            return None
+        local = view.work.local
+        return (
+            tuple(
+                ChainPair(
+                    tuple([local[v] for v in pair.side1]),
+                    tuple([local[v] for v in pair.side2]),
+                )
+                for pair in pairs
+            ),
+            {local[v]: interval for v, interval in intervals.items()},
+        )
 
     def _expand(self, start: int, sink: int):
         """``(members, pairs)`` of the region ``start → sink``, unchecked."""

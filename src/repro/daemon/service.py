@@ -40,10 +40,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..dominators.kernels import validate_kernels
 from ..dominators.shared import DEFAULT_BACKEND, validate_backend
-from ..errors import ReproError
+from ..errors import ReproError, UnknownNodeError
 from ..graph.circuit import Circuit, Node
 from ..graph.node import NodeType
-from ..incremental.edits import edit_from_dict
+from ..incremental.edits import (
+    RemoveGate,
+    ReplaceSubgraph,
+    Rewire,
+    edit_from_dict,
+)
 from ..incremental.engine import IncrementalEngine
 from ..service.executor import _chunk_entry, pairs_in_chain_dict
 from ..service.hashing import circuit_fingerprint
@@ -121,6 +126,35 @@ def _circuit_from_inline(definition: Dict[str, Any]) -> Circuit:
     circuit.set_outputs(outputs)
     circuit.validate()
     return circuit
+
+
+def _rewired_names(edits) -> set:
+    """Existing nodes an edit script rewires, removes or replaces.
+
+    A cone changes only if it holds one of them: an added gate feeds no
+    existing node until a rewire names that node, and rewiring or
+    removing a node outside a cone cannot reach into it, since a cone
+    is closed under fanin.
+    """
+    names = set()
+    for edit in edits:
+        if isinstance(edit, ReplaceSubgraph):
+            names.update(edit.remove)
+            names.update(rewire.name for rewire in edit.rewire)
+        elif isinstance(edit, (RemoveGate, Rewire)):
+            names.add(edit.name)
+    return names
+
+
+def _holds_any(graph, names) -> bool:
+    """Whether a live vertex of ``graph`` bears one of ``names``."""
+    for name in names:
+        try:
+            graph.index_of(name)
+        except UnknownNodeError:
+            continue
+        return True
+    return False
 
 
 def _apply_edits_to_circuit(circuit: Circuit, edits) -> Circuit:
@@ -558,9 +592,16 @@ class DaemonService:
             self._versions[key] += 1
             version = self._versions[key]
             # Engines of *other* cones were built from the pre-edit
-            # netlist; drop them so the next query reopens fresh.
-            for engine_key in list(self._engines):
-                if engine_key[0] == key and engine_key[1] != output:
+            # netlist: drop those whose cone holds a node the edit
+            # rewires or removes, so the next query reopens them fresh.
+            # Every other cone is unchanged and keeps its warm engine.
+            rewired = _rewired_names(edits)
+            for engine_key, engine in list(self._engines.items()):
+                if (
+                    engine_key[0] == key
+                    and engine_key[1] != output
+                    and _holds_any(engine.graph, rewired)
+                ):
                     del self._engines[engine_key]
                     self.metrics.inc("daemon.engines_dropped")
         if self._pool is not None and output is None:

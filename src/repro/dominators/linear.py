@@ -90,16 +90,25 @@ class ConeScratch:
     holds one per cone version (its ``extract_region`` uses the same
     arrays); a :class:`~repro.core.algorithm.ChainComputer` built
     without the index holds its own.
+
+    ``floor`` confines every walk to one cone of a larger graph: a
+    vertex whose ``mark`` is below it lies outside.  A
+    :class:`~repro.dominators.shared.ConeView` stamps its members with a
+    fresh epoch and makes that epoch the floor; every later region walk
+    stamps only members, with higher epochs, so ``mark[v] >= floor``
+    stays the membership test until the next cone.  With the default
+    floor of 0 the whole graph is the cone.
     """
 
-    __slots__ = ("mark", "flow", "stamp", "value", "epoch")
+    __slots__ = ("mark", "flow", "stamp", "value", "epoch", "floor")
 
     def __init__(self) -> None:
-        self.mark: List[int] = []  # region membership stamp
+        self.mark: List[int] = []  # cone, then region membership stamp
         self.flow: List[int] = []  # successor carrying v's unit, -1 if none
         self.stamp: List[int] = []  # split-node visit stamp
         self.value: List[int] = []  # BFS parent node, then reach label
         self.epoch = 0
+        self.floor = 0  # marks below it lie outside the walked cone
 
     def ensure(self, n: int) -> None:
         """Grow every array to cover a graph of ``n`` vertices."""
@@ -124,6 +133,7 @@ class ConeScratch:
         self.ensure(graph.n)
         self.epoch += 1
         epoch = self.epoch
+        floor = self.floor
         mark, flow, succ = self.mark, self.flow, graph.succ
         mark[start] = epoch
         flow[start] = -1
@@ -131,12 +141,13 @@ class ConeScratch:
         stack = [start]
         closed = True
         # Forward walk pruned at the sink: nothing past it can return.
+        # Vertices outside the cone (below the floor) are never entered.
         while stack:
             sv = succ[stack.pop()]
             if not sv:
                 closed = False  # a dead end (or the root): see below
             for w in sv:
-                if mark[w] != epoch:
+                if floor <= mark[w] != epoch:
                     mark[w] = epoch
                     flow[w] = -1
                     members.append(w)
@@ -203,9 +214,10 @@ def _augment(graph, start, sink, scratch, me, sslots) -> bool:
     * in(v) → out(v) when ``v`` carries none (the split arc itself);
     * in(v) → out(u) for the member ``u`` whose unit enters ``v``.
 
-    A vertex carrying no unit has the split arc as its in-node's only
-    residual arc, so the search steps from out(v) straight to out(w)
-    and never visits such an in-node.  The entry's units live in
+    Successors outside the region (fanouts leaving the cone) carry no
+    arc.  A vertex carrying no unit has the split arc as its in-node's
+    only residual arc, so the search steps from out(v) straight to
+    out(w) and never visits such an in-node.  The entry's units live in
     ``sslots`` instead of ``flow[start]``; the BFS never re-enters
     out(start) nor expands in(sink), so those units only ever grow.  On
     success the path is applied by walking the parents back: an
@@ -227,6 +239,8 @@ def _augment(graph, start, sink, scratch, me, sslots) -> bool:
                 if w == sink:
                     value[target] = x
                     break
+                if mark[w] != me:
+                    continue
                 y = 2 * w + 1 if flow[w] < 0 else 2 * w
                 if stamp[y] != epoch:
                     stamp[y] = epoch
@@ -363,7 +377,10 @@ def region_chain_pairs(
     graph:
         The cone in signal orientation (``succ``/``pred``/``n``/``root``
         — an :class:`~repro.graph.indexed.IndexedGraph` or anything
-        duck-compatible).  Ids need not be topological.
+        duck-compatible, such as a
+        :class:`~repro.dominators.shared.ConeView` over a whole
+        circuit's arrays, whose ``scratch`` floor marks the cone).  Ids
+        need not be topological.
     start:
         The region entry vertex.
     sink:

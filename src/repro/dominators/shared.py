@@ -27,9 +27,11 @@ This module replaces the copies with **views over shared arrays**:
   skip the removed vertex during their DFS, which is equivalent to
   deleting it;
 * :class:`SharedCircuitIndex` hoists the netlist→int-id conversion of a
-  whole multi-output circuit, so the service sweep extracts each output
-  cone from one shared adjacency instead of re-walking the string-keyed
-  netlist per output.
+  whole multi-output circuit, and a :class:`ConeView` of it is one
+  output cone as an epoch-stamped mark on the circuit's own arrays: the
+  service sweep runs every cone of a netlist there, with no per-cone
+  copy, and shares each region record between the cones that hold it
+  (:class:`CircuitScratch`).
 
 Region-local vertex ids are assigned in **ascending original-id order**,
 exactly like ``IndexedGraph.subgraph`` — this keeps every downstream
@@ -42,7 +44,7 @@ differential oracle compare them vector-for-vector.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ChainConstructionError, CircuitError, UnknownNodeError
 from ..graph.circuit import Circuit
@@ -147,7 +149,14 @@ def matching_compute(algorithm: str) -> Callable:
     return dsu.compute_idoms
 
 
-def topo_cone_idoms(graph, budget_factor: int = 8) -> Optional[List[int]]:
+#: NCA steps per cone edge that the topological idom sweep may take
+#: before a deep cascade sends it to a near-linear algorithm.
+TREE_BUDGET_FACTOR = 8
+
+
+def topo_cone_idoms(
+    graph, budget_factor: int = TREE_BUDGET_FACTOR
+) -> Optional[List[int]]:
     """Cone idoms (paper orientation) by one topological sweep.
 
     Works when vertex ids are a topological order of the cone and every
@@ -610,31 +619,190 @@ class SharedCircuitIndex:
         return index
 
     def cone(self, output: str) -> IndexedGraph:
-        """The fanin-cone ``IndexedGraph`` of one output."""
+        """The fanin-cone ``IndexedGraph`` of one output (a private copy)."""
+        return CircuitScratch(self).cone(output)
+
+
+class CircuitScratch:
+    """Circuit-sized work arrays and region table of one sweep.
+
+    Every :class:`ConeView` of one circuit that a sweep builds reuses
+    these arrays: the :class:`~repro.dominators.linear.ConeScratch` of
+    the linear pass (whose ``mark`` also holds the cone), the cone-local
+    id and in-cone out-degree of each member, and the cone's idoms.
+
+    ``regions`` maps ``(entry, sink)`` in circuit ids to the checked
+    region record.  A cone is fanin-closed, so the region ``{w : entry ⇝
+    w avoiding sink, w ⇝ sink}`` is the same vertex set in every cone
+    that holds both vertices, and so is its record: a cone whose idom
+    of ``entry`` is a different sink asks for a different key.
+    """
+
+    __slots__ = ("index", "scratch", "local", "outdeg", "idom", "regions")
+
+    def __init__(self, index: "SharedCircuitIndex"):
+        n = len(index.order)
+        self.index = index
+        self.scratch = ConeScratch()
+        self.scratch.ensure(n)
+        self.local = [0] * n  # circuit id -> cone-local id (members)
+        self.outdeg = [0] * n  # in-cone fanout count (members)
+        self.idom = [0] * n  # cone idom in circuit ids (members)
+        self.regions: Dict[Tuple[int, int], tuple] = {}
+
+    def _walk(self, output: str):
+        """Stamp the cone of ``output``: ``(root, members, edges)``.
+
+        One backward walk stamps the members with a fresh epoch, the
+        scratch's new floor, and counts each member's in-cone fanouts;
+        ``members`` is sorted, and ``local`` numbers them by rank.
+        Ascending circuit ids are a topological order of the cone, the
+        numbering ``IndexedGraph.from_circuit`` gives it.
+        """
+        index = self.index
         try:
-            root = self.index[output]
+            root = index.index[output]
         except KeyError:
             raise UnknownNodeError(f"no node named {output!r}") from None
-        seen = [False] * len(self.order)
-        seen[root] = True
+        scratch = self.scratch
+        scratch.epoch += 1
+        floor = scratch.floor = scratch.epoch
+        mark, outdeg, idom = scratch.mark, self.outdeg, self.idom
+        pred = index.pred
+        mark[root] = floor
+        outdeg[root] = 0
+        idom[root] = root
+        members = [root]
         stack = [root]
+        edges = 0
         while stack:
-            v = stack.pop()
-            for d in self.pred[v]:
-                if not seen[d]:
-                    seen[d] = True
+            ds = pred[stack.pop()]
+            edges += len(ds)
+            for d in ds:
+                if mark[d] == floor:
+                    outdeg[d] += 1
+                else:
+                    mark[d] = floor
+                    outdeg[d] = 1
+                    idom[d] = -1  # no fanout folded in yet
+                    members.append(d)
                     stack.append(d)
-        # Ascending over a topological numbering == topological order,
-        # matching IndexedGraph.from_circuit's vertex ordering exactly.
-        members = [v for v in range(len(self.order)) if seen[v]]
-        local = {v: i for i, v in enumerate(members)}
-        succ = [
-            [local[w] for w in self.succ[v] if seen[w]] for v in members
-        ]
+        members.sort()
+        local = self.local
+        for i, v in enumerate(members):
+            local[v] = i
+        return root, members, edges
+
+    def view(self, output: str) -> Optional["ConeView"]:
+        """The cone of ``output`` as a view, overwriting the previous one.
+
+        After the walk, the cone's idoms follow from the topological
+        sweep of :func:`topo_cone_idoms` run over fanins: in descending
+        id order each member's idom is already final and is folded into
+        each of its fanins' running NCA, so no fanout leaving the cone
+        is ever read.  The sweep is metered the same way: past
+        :data:`TREE_BUDGET_FACTOR` steps per edge it returns ``None``,
+        and the caller materializes the cone instead.
+        """
+        root, members, edges = self._walk(output)
+        idom, pred = self.idom, self.index.pred
+        budget = TREE_BUDGET_FACTOR * max(edges, 1)
+        for i in range(len(members) - 1, -1, -1):
+            v = members[i]
+            # idom[v] is final: every fanout of v has a higher id.  The
+            # NCA walks below stay at ids >= v, all final too.
+            for d in pred[v]:
+                a = idom[d]
+                if a == -1:
+                    idom[d] = v
+                elif a != v:
+                    b = v
+                    while a != b:
+                        if a < b:
+                            a = idom[a]
+                        else:
+                            b = idom[b]
+                        budget -= 1
+                    if budget < 0:
+                        return None
+                    idom[d] = a
+        return ConeView(self, root, members, self.scratch.floor)
+
+    def cone(self, output: str) -> IndexedGraph:
+        """The cone of ``output`` as its own ``IndexedGraph``."""
+        root, members, _ = self._walk(output)
+        local, mark = self.local, self.scratch.mark
+        floor = self.scratch.floor
+        succ, order = self.index.succ, self.index.order
         return IndexedGraph(
-            succ,
+            [
+                [local[w] for w in succ[v] if mark[w] == floor]
+                for v in members
+            ],
             root=local[root],
-            names=[self.order[v] for v in members],
+            names=[order[v] for v in members],
+        )
+
+
+class ConeView:
+    """One output cone of a :class:`SharedCircuitIndex`, as marks.
+
+    Vertex ids are circuit ids; ``succ``/``pred`` are the circuit's own
+    lists, and the scratch's floor keeps every region walk inside the
+    cone.  Cone-local id ``i`` is ``members[i]``, the ascending order
+    that :meth:`SharedCircuitIndex.cone` numbers its ``IndexedGraph``
+    by, so every ascending-id tie-break reads the same in both.  Chains
+    over a view (:class:`~repro.core.algorithm.ChainComputer`) speak
+    cone-local ids.
+
+    A view does not outlive its cone: the next :meth:`CircuitScratch.view`
+    overwrites the member marks, local ids and idoms it reads, and
+    :meth:`require_current` raises.
+    """
+
+    __slots__ = ("work", "n", "succ", "pred", "root", "members", "floor")
+
+    def __init__(
+        self, work: CircuitScratch, root: int, members: List[int], floor: int
+    ):
+        self.work = work
+        self.n = len(work.index.order)
+        self.succ = work.index.succ
+        self.pred = work.index.pred
+        self.root = root
+        self.members = members
+        self.floor = floor
+
+    def require_current(self) -> None:
+        """Raise unless this is still the latest view of its scratch."""
+        if self.work.scratch.floor != self.floor:
+            raise CircuitError(
+                "cone view is stale: a later view of the same scratch "
+                "overwrote its arrays"
+            )
+
+    def sources(self) -> List[int]:
+        """Cone-local ids of the primary inputs, ascending."""
+        pred = self.pred
+        return [i for i, v in enumerate(self.members) if not pred[v]]
+
+    def index_of(self, name: str) -> int:
+        """Cone-local id of a named member."""
+        self.require_current()
+        v = self.work.index.index.get(name)
+        if v is None or self.work.scratch.mark[v] < self.floor:
+            raise UnknownNodeError(f"no vertex named {name!r}")
+        return self.work.local[v]
+
+    def name_of(self, u: int) -> str:
+        return self.work.index.order[self.members[u]]
+
+    def tree(self) -> DominatorTree:
+        """The cone's dominator tree in cone-local ids."""
+        self.require_current()
+        local, idom = self.work.local, self.work.idom
+        return DominatorTree(
+            [local[idom[v]] for v in self.members], local[self.root]
         )
 
 
@@ -653,6 +821,8 @@ def cone_graph(circuit: Circuit, output: Optional[str] = None) -> IndexedGraph:
 
 __all__ = [
     "BACKENDS",
+    "CircuitScratch",
+    "ConeView",
     "RegionMatcher",
     "RegionView",
     "SharedCircuitIndex",

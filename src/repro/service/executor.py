@@ -14,6 +14,12 @@ executor fans per-cone DOMINATORCHAIN jobs across a
 * **graceful fallback** — ``jobs <= 1``, a platform without working
   ``multiprocessing`` primitives, or a pool-level failure all degrade
   to plain in-process execution with identical results;
+* **one set of arrays per netlist** — under the production
+  configuration every cone of a chunk is a
+  :class:`~repro.dominators.shared.ConeView` of one
+  :class:`~repro.dominators.shared.CircuitScratch`: no per-cone graph
+  copy, index or tree object, and each ``(entry, sink)`` region record
+  is computed once for all the cones that hold it;
 * **determinism** — results are collected in submission order and the
   per-cone chain dictionaries are bit-identical to what a sequential
   :class:`~repro.core.algorithm.ChainComputer` produces (the property
@@ -34,7 +40,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import ChainComputer
 from ..dominators.kernels import validate_kernels
-from ..dominators.shared import DEFAULT_BACKEND, cone_graph, validate_backend
+from ..dominators.shared import (
+    DEFAULT_BACKEND,
+    CircuitScratch,
+    SharedCircuitIndex,
+    cone_graph,
+    validate_backend,
+)
 from ..graph.circuit import Circuit
 from ..graph.indexed import IndexedGraph
 from .artifacts import ArtifactStore
@@ -55,11 +67,13 @@ def sequential_cone_chains(
     backend: str = DEFAULT_BACKEND,
     kernels: str = "python",
 ) -> Dict[str, Dict[str, object]]:
-    """Chains of one output cone, serialized — the unit of all execution.
+    """Chains of one output cone, serialized, on a materialized cone.
 
-    This single code path backs the worker processes, the in-process
-    fallback, and the sequential reference in tests, which is what makes
-    "parallel == sequential" hold by construction.
+    The per-cone path of a sweep (see :func:`_cone_chains`, which backs
+    the worker processes and the in-process fallback alike, so
+    "parallel == sequential" holds by construction) for every
+    configuration but the default, and the single-cone reference in
+    tests.
 
     Except under ``backend="legacy"`` the cone itself comes out of the
     circuit's :class:`~repro.dominators.shared.SharedCircuitIndex`, so a
@@ -84,6 +98,60 @@ def sequential_cone_chains(
             computer.chain(u).to_dict()
         )
     return chains
+
+
+def view_cone_chains(
+    views: CircuitScratch,
+    output: str,
+    targets: Optional[Sequence[str]] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> Optional[Dict[str, Dict[str, object]]]:
+    """Chains of one output cone as a view of the sweep's arrays.
+
+    The same dictionary :func:`sequential_cone_chains` returns under the
+    defaults, byte for byte, or ``None`` when the cone's tree sweep runs
+    past its step budget (a deep cascade): the caller then materializes
+    that one cone.
+    """
+    view = views.view(output)
+    if view is None:
+        return None
+    computer = ChainComputer(view, metrics=metrics)
+    if targets is None:
+        indices = view.sources()
+    else:
+        indices = [view.index_of(t) for t in targets]
+    return {view.name_of(u): computer.chain(u).to_dict() for u in indices}
+
+
+def _cone_chains(circuit, cone_jobs, metrics, backend, kernels):
+    """Yield ``(output, chains, wall)`` per cone job, in order.
+
+    Under ``linear`` on python every cone is a view of one
+    :class:`CircuitScratch` built for these jobs; other configurations,
+    and a cone whose tree sweep runs out of budget (counted as
+    ``executor.view_fallbacks``), take :func:`sequential_cone_chains`.
+    """
+    views = None
+    if backend == "linear" and kernels == "python":
+        views = CircuitScratch(SharedCircuitIndex.for_circuit(circuit))
+    for output, targets in cone_jobs:
+        start = time.perf_counter()
+        chains = None
+        if views is not None:
+            chains = view_cone_chains(views, output, targets, metrics)
+            if chains is None:
+                metrics.inc("executor.view_fallbacks")
+        if chains is None:
+            chains = sequential_cone_chains(
+                circuit,
+                output,
+                targets,
+                metrics=metrics,
+                backend=backend,
+                kernels=kernels,
+            )
+        yield output, chains, time.perf_counter() - start
 
 
 def pairs_in_chain_dict(chain_dict: Dict[str, object]) -> int:
@@ -118,17 +186,9 @@ def _process_chunk(payload):
         circuit = attach_circuit(circuit)
         registry.inc("executor.shm_attaches")
     results = []
-    for output, targets in cone_jobs:
-        start = time.perf_counter()
-        chains = sequential_cone_chains(
-            circuit,
-            output,
-            targets,
-            metrics=registry,
-            backend=backend,
-            kernels=kernels,
-        )
-        wall = time.perf_counter() - start
+    for output, chains, wall in _cone_chains(
+        circuit, cone_jobs, registry, backend, kernels
+    ):
         registry.observe("executor.job_seconds", wall)
         results.append((output, chains, wall))
     return results, registry.snapshot()
@@ -345,7 +405,11 @@ class ParallelExecutor:
         all primary inputs.
         """
         cone_names = list(outputs) if outputs is not None else circuit.outputs
-        key = circuit_key or circuit_fingerprint(circuit)
+        # Only the artifact store needs the key: a store-less sweep never
+        # hashes the netlist.
+        key = circuit_key
+        if not key and self.store is not None:
+            key = circuit_fingerprint(circuit)
         targets_by_output = targets_by_output or {}
 
         results: Dict[str, ConeResult] = {}
@@ -470,17 +534,13 @@ class ParallelExecutor:
             pool.join()
 
     def _run_inprocess(self, circuit: Circuit, cone_jobs: List[ConeJob]):
-        for output, targets in cone_jobs:
-            start = time.perf_counter()
-            chains = sequential_cone_chains(
-                circuit,
-                output,
-                targets,
-                metrics=self.metrics,
-                backend=self.config.backend,
-                kernels=self.config.kernels,
-            )
-            wall = time.perf_counter() - start
+        for output, chains, wall in _cone_chains(
+            circuit,
+            cone_jobs,
+            self.metrics,
+            self.config.backend,
+            self.config.kernels,
+        ):
             self.metrics.observe("executor.job_seconds", wall)
             self.metrics.inc("executor.jobs_inprocess")
             yield output, chains, wall, "inprocess"

@@ -2,13 +2,21 @@
 
 import pytest
 
-from repro.check import check_circuit, check_cone, check_incremental
+from repro.check import (
+    check_circuit,
+    check_cone,
+    check_incremental,
+    check_sweep,
+)
 from repro.check.oracle import Mismatch, check_chain_lookup
 from repro.circuits.figures import FIGURE2_PAIRS, figure1_circuit, figure2_circuit
 from repro.core.algorithm import ChainComputer, dominator_chain
 from repro.core.chain import ChainPair, DominatorChain
+from repro.dominators.shared import CircuitScratch
 from repro.errors import ChainConstructionError
 from repro.graph import IndexedGraph
+from repro.graph.circuit import Circuit
+from repro.graph.node import NodeType
 from repro.incremental.edits import AddGate, Rewire
 from repro.service.metrics import MetricsRegistry
 
@@ -38,6 +46,55 @@ class TestCheckCircuit:
         assert snap["counters"]["check.cones"] == 1
         assert snap["counters"]["check.targets"] >= 1
         assert "check.cone_seconds" in snap["histograms"]
+
+
+def _split_idom():
+    """``idom(a)`` is o1 in cone o1 and o2 in cone o2; the two regions
+    of ``a`` hold different vertices under the same cone-local ids."""
+    circuit = Circuit("split")
+    for name in "abc":
+        circuit.add_input(name)
+    for name, kind, fanins in (
+        ("g1", NodeType.AND, ("a", "b")),
+        ("g2", NodeType.OR, ("a", "b")),
+        ("g3", NodeType.XOR, ("a", "c")),
+        ("o1", NodeType.AND, ("g1", "g2")),
+        ("o2", NodeType.AND, ("g1", "g3")),
+    ):
+        circuit.add_gate(name, kind, fanins)
+    circuit.set_outputs(["o1", "o2"])
+    return circuit
+
+
+class _EntryKeyed(dict):
+    """A faulty region table keyed on the entry alone."""
+
+    def get(self, key, default=None):
+        return dict.get(self, key[0], default)
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, key[0], value)
+
+
+class TestSweepKind:
+    def test_sweep_agrees_with_the_per_cone_reference(self):
+        assert check_sweep(_split_idom()) == []
+        report = check_circuit(_split_idom())
+        assert report.ok, report.summary()
+
+    def test_record_reused_under_another_sink_is_reported(self, monkeypatch):
+        # Seeded fault: cone o2 is served cone o1's record of entry a.
+        init = CircuitScratch.__init__
+
+        def faulty(self, index):
+            init(self, index)
+            self.regions = _EntryKeyed()
+
+        monkeypatch.setattr(CircuitScratch, "__init__", faulty)
+        report = check_circuit(_split_idom())
+        kinds = {m.kind for m in report.mismatches}
+        assert kinds == {"sweep"}
+        assert all(m.output == "o2" for m in report.mismatches)
 
 
 class TestFaultDetection:

@@ -10,7 +10,10 @@ from repro.core.algorithm import ChainComputer
 from repro.daemon.protocol import PROTOCOL_VERSION, Request, parse_request
 from repro.daemon.service import DaemonService, ServiceConfig
 from repro.daemon.shm import shared_memory_available
+from repro.graph.circuit import Circuit
 from repro.graph.indexed import IndexedGraph
+from repro.graph.node import NodeType
+from repro.incremental import IncrementalEngine
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(), reason="no shared memory on this platform"
@@ -277,6 +280,78 @@ class TestSweepAndEdit:
         assert not resp["ok"]
         stats = service.handle(_request("stats"))["result"]
         assert stats["circuits"][key]["version"] == 1
+
+    def test_edit_drops_only_the_engines_it_can_change(self, service):
+        # Cone A = {a, b, g1, g2, oa}; cone B = {c, d, h1, h2, ob};
+        # cone C = {a, b, c, d, g1, h1, oc}.  Rewiring g1 through A
+        # changes A and C, never B.
+        circuit = Circuit("keep")
+        for name in "abcd":
+            circuit.add_input(name)
+        for name, kind, fanins in (
+            ("g1", NodeType.AND, ("a", "b")),
+            ("g2", NodeType.OR, ("a", "b")),
+            ("h1", NodeType.AND, ("c", "d")),
+            ("h2", NodeType.OR, ("c", "d")),
+            ("oa", NodeType.AND, ("g1", "g2")),
+            ("ob", NodeType.AND, ("h1", "h2")),
+            ("oc", NodeType.AND, ("g1", "h1")),
+        ):
+            circuit.add_gate(name, kind, fanins)
+        circuit.set_outputs(["oa", "ob", "oc"])
+        key = _load(service, circuit)
+
+        def chain(output):
+            resp = service.handle(
+                _request("chain", {"circuit": key, "output": output})
+            )
+            assert resp["ok"], resp
+            return resp["result"]["chains"]
+
+        def opened():
+            counters = service.metrics.snapshot()["counters"]
+            return counters.get("daemon.engines_opened", 0)
+
+        for output in ("oa", "ob", "oc"):
+            chain(output)
+        assert opened() == 3
+        resp = service.handle(
+            _request(
+                "edit",
+                {
+                    "circuit": key,
+                    "output": "oa",
+                    "edits": [
+                        {
+                            "op": "add-gate",
+                            "name": "buf",
+                            "fanins": ["a"],
+                            "type": "buf",
+                        },
+                        {"op": "rewire", "name": "g1", "fanins": ["buf", "b"]},
+                    ],
+                },
+            )
+        )
+        assert resp["ok"], resp
+        with service._lock:
+            assert set(service._engines) == {(key, "oa"), (key, "ob")}
+            updated = service._circuits[key]
+
+        def fresh(output):
+            engine = IncrementalEngine.from_circuit(updated, output)
+            graph = engine.graph
+            return {
+                graph.name_of(u): engine.chain(u).to_dict()
+                for u in graph.sources()
+            }
+
+        # B serves from its open engine, as a fresh engine would.
+        assert chain("ob") == fresh("ob")
+        assert opened() == 3
+        # C was dropped; its next query reopens it on the edited netlist.
+        assert chain("oc") == fresh("oc")
+        assert opened() == 4
 
 
 class TestDynamicEngine:
