@@ -5,10 +5,10 @@ a process alive between queries and makes the expensive state persistent:
 
 * :mod:`~repro.daemon.shm` — :class:`SharedCircuitPool` publishes each
   circuit version into a :mod:`multiprocessing.shared_memory` segment
-  exactly once (flat CSR arrays plus the
-  :class:`~repro.dominators.shared.SharedCircuitIndex` layout); workers
-  attach refcounted and decode once per circuit version instead of
-  unpickling the netlist with every chunk,
+  exactly once (the circuit's
+  :class:`~repro.graph.circuit.CircuitArrays` as flat CSR arrays);
+  workers attach refcounted and adopt the arrays once per circuit
+  version instead of unpickling the netlist with every chunk,
 * :mod:`~repro.daemon.admission` — bounded in-flight admission with
   per-tenant token buckets; oversubscribed tenants are shed with
   429-style responses instead of queueing unboundedly,

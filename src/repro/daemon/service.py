@@ -377,8 +377,11 @@ class DaemonService:
         with self._lock:
             engine = self._engines.get((key, output))
             if engine is None:
+                # The engine keeps no reference to the circuit, and an
+                # edit replaces the registered circuit rather than
+                # editing it, so no copy is needed.
                 engine = IncrementalEngine.from_circuit(
-                    self._circuits[key].copy(),
+                    self._circuits[key],
                     output,
                     backend=self.config.backend,
                     metrics=self.metrics,

@@ -3,32 +3,30 @@
 The per-chunk cost of the :class:`~repro.service.executor.ParallelExecutor`
 is dominated, for large netlists, by shipping the circuit: every chunk
 pickles the whole :class:`~repro.graph.circuit.Circuit` into the task
-payload, and every worker re-derives the
-:class:`~repro.dominators.shared.SharedCircuitIndex` (topological order,
-int-id adjacency) from scratch per chunk.  This module publishes each
-circuit **version** into one :mod:`multiprocessing.shared_memory`
-segment instead:
+payload, and every worker unpickles it again per chunk.  This module
+publishes each circuit **version** into one
+:mod:`multiprocessing.shared_memory` segment instead:
 
-* the segment holds a compact, self-describing encoding — a JSON header
-  (name, node order, gate types, inputs/outputs) followed by the flat
-  CSR fanin arrays (``array('q')`` offsets + indices) that *are* the
-  ``SharedCircuitIndex`` layout;
-* :func:`attach_circuit` in a worker maps the segment, decodes it once,
-  **pre-seeds** the circuit-index cache from the CSR arrays (no re-walk
-  of the netlist), and caches the result in a refcounted worker-local
-  table keyed by segment name — subsequent chunks for the same circuit
-  version are a dictionary hit;
+* the segment holds the circuit's arrays
+  (:class:`~repro.graph.circuit.CircuitArrays`) in a compact,
+  self-describing encoding — a JSON header (name, the name and gate
+  type of each id, inputs/outputs) followed by the flat CSR fanin
+  arrays (``array('q')`` offsets + indices) and the insertion order;
+* :func:`attach_circuit` in a worker maps the segment, decodes it once
+  by **adopting** those arrays (no re-sort, no re-walk of the netlist,
+  no ``Node`` records), and caches the result in a refcounted
+  worker-local table keyed by segment name — subsequent chunks for the
+  same circuit version are a dictionary hit;
 * a new circuit version gets a new segment name, so stale worker caches
   can never serve an edited circuit: invalidation is just "publish
   under the next name", wired to
   :meth:`repro.incremental.IncrementalEngine.add_edit_listener` through
   :meth:`SharedCircuitPool.listener_for`.
 
-Decoded circuits are **bit-compatible** with pickled ones: the header
-carries the publisher's topological order and the decoder installs it
-verbatim, so every downstream vertex numbering (cone extraction, chain
-vertex ids) matches the pickle path exactly — the equivalence tests
-compare the two dispatch modes result-for-result.
+Decoded circuits are **bit-compatible** with pickled ones: both carry
+the publisher's arrays, ids included, so every downstream vertex
+numbering (cone extraction, chain vertex ids) matches exactly — the
+equivalence tests compare the two dispatch modes result-for-result.
 
 On platforms without ``multiprocessing.shared_memory`` (or without
 ``/dev/shm``) the pool reports itself unavailable and callers fall back
@@ -50,12 +48,12 @@ try:  # pragma: no cover - platform probe
 except ImportError:  # pragma: no cover - no shm on this platform
     shared_memory = None  # type: ignore[assignment]
 
-from ..dominators.shared import SharedCircuitIndex, _CIRCUIT_INDEXES
-from ..graph.circuit import Circuit
+from ..graph.circuit import Circuit, CircuitArrays
 from ..graph.node import NodeType
 from .. import errors as _errors
 
-_MAGIC = b"RPC1"
+_MAGIC = b"RPC2"
+_TYPES = {node_type.value: node_type for node_type in NodeType}
 _LEN = struct.Struct("<Q")
 
 
@@ -80,25 +78,24 @@ def shared_memory_available() -> bool:
 # codec
 # ----------------------------------------------------------------------
 def encode_circuit(circuit: Circuit) -> bytes:
-    """Serialize a circuit into the flat segment layout.
+    """Serialize a circuit's arrays into the flat segment layout.
 
-    Layout: magic, length-prefixed JSON header, then the CSR fanin
-    arrays (``offsets[n + 1]`` and ``fanins[nnz]`` as little-endian
-    int64) indexing into the header's topological node order.
+    Layout: magic, length-prefixed JSON header (name, the names and gate
+    types of ids ``0..n-1``, inputs, outputs), then ``n``, ``nnz`` and
+    three little-endian int64 arrays: the CSR fanins (``offsets[n + 1]``
+    and ``fanins[nnz]``) and the insertion order (``insertion[n]``).
     """
-    order = circuit.topological_order()
-    index = {nm: i for i, nm in enumerate(order)}
+    arrays = circuit.arrays()
     fanins = array("q")
     offsets = array("q", [0])
-    for nm in order:
-        for driver in circuit.fanins(nm):
-            fanins.append(index[driver])
+    for drivers in arrays.pred:
+        fanins.extend(drivers)
         offsets.append(len(fanins))
     header = json.dumps(
         {
             "name": circuit.name,
-            "order": order,
-            "types": [circuit.node(nm).type.value for nm in order],
+            "order": arrays.order,
+            "types": [node_type.value for node_type in arrays.types],
             "inputs": circuit.inputs,
             "outputs": circuit.outputs,
         },
@@ -108,21 +105,21 @@ def encode_circuit(circuit: Circuit) -> bytes:
         _MAGIC,
         _LEN.pack(len(header)),
         header,
-        _LEN.pack(len(order)),
+        _LEN.pack(len(arrays.order)),
         _LEN.pack(len(fanins)),
         offsets.tobytes(),
         fanins.tobytes(),
+        array("q", arrays.insertion).tobytes(),
     ]
     return b"".join(parts)
 
 
 def decode_circuit(buf) -> Circuit:
-    """Rebuild a circuit (plus its pre-seeded index) from segment bytes.
+    """Rebuild a circuit from segment bytes by adopting its arrays.
 
-    The decoded circuit's cached topological order is the publisher's,
-    and the :class:`SharedCircuitIndex` is reconstructed directly from
-    the CSR arrays and installed in the circuit-index cache — a worker
-    using the shared backend never re-derives either.
+    The publisher's ids, and so its topological order and every
+    downstream vertex numbering, are installed as they are; nothing is
+    re-sorted or re-validated.
     """
     view = memoryview(buf)
     if bytes(view[:4]) != _MAGIC:
@@ -136,51 +133,19 @@ def decode_circuit(buf) -> Circuit:
     pos += _LEN.size
     (nnz,) = _LEN.unpack_from(view, pos)
     pos += _LEN.size
-    offsets = array("q")
-    offsets.frombytes(bytes(view[pos : pos + 8 * (n + 1)]))
-    pos += 8 * (n + 1)
-    fanins = array("q")
-    fanins.frombytes(bytes(view[pos : pos + 8 * nnz]))
-
-    order: List[str] = header["order"]
-    types: List[str] = header["types"]
-    circuit = Circuit(header["name"])
-    for i, nm in enumerate(order):
-        node_type = NodeType(types[i])
-        if node_type is NodeType.INPUT:
-            circuit.add_input(nm)
-        elif node_type is NodeType.CONST0:
-            circuit.add_constant(nm, 0)
-        elif node_type is NodeType.CONST1:
-            circuit.add_constant(nm, 1)
-        else:
-            circuit.add_gate(
-                nm,
-                node_type,
-                [order[f] for f in fanins[offsets[i] : offsets[i + 1]]],
-            )
-    circuit.set_outputs(header["outputs"])
-    # Restore the publisher's declaration order of inputs (nodes were
-    # inserted in topological order above) and install its topological
-    # order verbatim, so fingerprints and every downstream vertex
-    # numbering match the pickle dispatch path exactly.
-    circuit._inputs = list(header["inputs"])
-    circuit._topo = list(order)
-
-    shared_index = SharedCircuitIndex.__new__(SharedCircuitIndex)
-    shared_index.order = list(order)
-    shared_index.index = {nm: i for i, nm in enumerate(order)}
-    succ: List[List[int]] = [[] for _ in range(n)]
-    pred: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for f in fanins[offsets[i] : offsets[i + 1]]:
-            succ[f].append(i)
-            pred[i].append(f)
-    shared_index.succ = succ
-    shared_index.pred = pred
-    shared_index._size = len(circuit)
-    _CIRCUIT_INDEXES[circuit] = shared_index
-    return circuit
+    ints = array("q")
+    ints.frombytes(bytes(view[pos : pos + 8 * (2 * n + 1 + nnz)]))
+    offsets = ints[: n + 1].tolist()
+    fanins = ints[n + 1 : n + 1 + nnz].tolist()
+    arrays = CircuitArrays(
+        header["order"],
+        [_TYPES[value] for value in header["types"]],
+        [fanins[offsets[i] : offsets[i + 1]] for i in range(n)],
+        ints[n + 1 + nnz :].tolist(),
+    )
+    return Circuit.from_arrays(
+        header["name"], arrays, header["inputs"], header["outputs"]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,11 @@ This module replaces the copies with **views over shared arrays**:
   all: the exclude-capable algorithms (``lt``, ``dsu``/``snca``) simply
   skip the removed vertex during their DFS, which is equivalent to
   deleting it;
-* :class:`SharedCircuitIndex` hoists the netlist→int-id conversion of a
-  whole multi-output circuit, and a :class:`ConeView` of it is one
-  output cone as an epoch-stamped mark on the circuit's own arrays: the
-  service sweep runs every cone of a netlist there, with no per-cone
-  copy, and shares each region record between the cones that hold it
+* a :class:`ConeView` is one output cone of a multi-output circuit as
+  an epoch-stamped mark on the circuit's own int arrays
+  (:class:`~repro.graph.circuit.CircuitArrays`): the service sweep runs
+  every cone of a netlist there, with no per-cone copy, and shares each
+  region record between the cones that hold it
   (:class:`CircuitScratch`).
 
 Region-local vertex ids are assigned in **ascending original-id order**,
@@ -43,11 +43,10 @@ differential oracle compare them vector-for-vector.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ChainConstructionError, CircuitError, UnknownNodeError
-from ..graph.circuit import Circuit
+from ..graph.circuit import Circuit, CircuitArrays
 from ..graph.indexed import IndexedGraph
 from . import dsu
 from .linear import ConeScratch
@@ -573,58 +572,14 @@ class SharedConeIndex:
 
 
 # ----------------------------------------------------------------------
-# whole-circuit index (service layer)
+# cones as views of the circuit's arrays (service layer)
 # ----------------------------------------------------------------------
-_CIRCUIT_INDEXES: "weakref.WeakKeyDictionary[Circuit, SharedCircuitIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-class SharedCircuitIndex:
-    """Int-id adjacency of a whole multi-output netlist, built once.
-
-    ``IndexedGraph.from_circuit`` re-walks the string-keyed netlist (one
-    topological sort plus dict lookups per fanin) for every output; a
-    service sweep over *k* outputs pays that *k* times.  This index pays
-    it once and then extracts each output cone with a single backward
-    walk over int arrays, producing an ``IndexedGraph`` identical (same
-    vertex order, same names) to what ``from_circuit`` would build.
-    """
-
-    __slots__ = ("order", "index", "succ", "pred", "_size")
-
-    def __init__(self, circuit: Circuit):
-        self.order: List[str] = list(circuit.topological_order())
-        self.index: Dict[str, int] = {
-            nm: i for i, nm in enumerate(self.order)
-        }
-        n = len(self.order)
-        self.succ: List[List[int]] = [[] for _ in range(n)]
-        self.pred: List[List[int]] = [[] for _ in range(n)]
-        for nm in self.order:
-            i = self.index[nm]
-            for driver in circuit.fanins(nm):
-                d = self.index[driver]
-                self.succ[d].append(i)
-                self.pred[i].append(d)
-        self._size = len(circuit)
-
-    @classmethod
-    def for_circuit(cls, circuit: Circuit) -> "SharedCircuitIndex":
-        cached = _CIRCUIT_INDEXES.get(circuit)
-        if cached is not None and cached._size == len(circuit):
-            return cached
-        index = cls(circuit)
-        _CIRCUIT_INDEXES[circuit] = index
-        return index
-
-    def cone(self, output: str) -> IndexedGraph:
-        """The fanin-cone ``IndexedGraph`` of one output (a private copy)."""
-        return CircuitScratch(self).cone(output)
-
-
 class CircuitScratch:
     """Circuit-sized work arrays and region table of one sweep.
+
+    ``index`` is the circuit's :class:`~repro.graph.circuit.CircuitArrays`
+    (``circuit.arrays()``), read as it is: ascending ids are a
+    topological order.
 
     Every :class:`ConeView` of one circuit that a sweep builds reuses
     these arrays: the :class:`~repro.dominators.linear.ConeScratch` of
@@ -640,7 +595,7 @@ class CircuitScratch:
 
     __slots__ = ("index", "scratch", "local", "outdeg", "idom", "regions")
 
-    def __init__(self, index: "SharedCircuitIndex"):
+    def __init__(self, index: CircuitArrays):
         n = len(index.order)
         self.index = index
         self.scratch = ConeScratch()
@@ -728,30 +683,15 @@ class CircuitScratch:
                     idom[d] = a
         return ConeView(self, root, members, self.scratch.floor)
 
-    def cone(self, output: str) -> IndexedGraph:
-        """The cone of ``output`` as its own ``IndexedGraph``."""
-        root, members, _ = self._walk(output)
-        local, mark = self.local, self.scratch.mark
-        floor = self.scratch.floor
-        succ, order = self.index.succ, self.index.order
-        return IndexedGraph(
-            [
-                [local[w] for w in succ[v] if mark[w] == floor]
-                for v in members
-            ],
-            root=local[root],
-            names=[order[v] for v in members],
-        )
-
 
 class ConeView:
-    """One output cone of a :class:`SharedCircuitIndex`, as marks.
+    """One output cone of a circuit's arrays, as marks.
 
     Vertex ids are circuit ids; ``succ``/``pred`` are the circuit's own
     lists, and the scratch's floor keeps every region walk inside the
     cone.  Cone-local id ``i`` is ``members[i]``, the ascending order
-    that :meth:`SharedCircuitIndex.cone` numbers its ``IndexedGraph``
-    by, so every ascending-id tie-break reads the same in both.  Chains
+    that :meth:`IndexedGraph.from_circuit` numbers its graph by, so
+    every ascending-id tie-break reads the same in both.  Chains
     over a view (:class:`~repro.core.algorithm.ChainComputer`) speak
     cone-local ids.
 
@@ -807,16 +747,12 @@ class ConeView:
 
 
 def cone_graph(circuit: Circuit, output: Optional[str] = None) -> IndexedGraph:
-    """Shared-index replacement for ``IndexedGraph.from_circuit``."""
-    if output is None:
-        outs = circuit.outputs
-        if len(outs) != 1:
-            raise CircuitError(
-                f"circuit {circuit.name!r} has {len(outs)} outputs; "
-                "specify which cone to extract"
-            )
-        output = outs[0]
-    return SharedCircuitIndex.for_circuit(circuit).cone(output)
+    """The cone of ``output`` as its own ``IndexedGraph``.
+
+    The materialized-cone entry point of a sweep: one walk over the
+    circuit's arrays (:meth:`IndexedGraph.from_circuit`).
+    """
+    return IndexedGraph.from_circuit(circuit, output)
 
 
 __all__ = [
@@ -825,7 +761,6 @@ __all__ = [
     "ConeView",
     "RegionMatcher",
     "RegionView",
-    "SharedCircuitIndex",
     "SharedConeIndex",
     "cone_graph",
     "matching_compute",

@@ -7,10 +7,14 @@ edges are oriented in **signal direction** (from a gate's fanins toward the
 gate).  A "path from *u* to *root*" in the paper is therefore a directed
 path following fanout edges toward a primary output.
 
-The class is deliberately mutable-but-checked: nodes are added through
-methods that validate fanin arities and name uniqueness, and the expensive
-derived structures (fanout lists, topological order) are computed lazily and
-invalidated on mutation.
+The netlist itself is a :class:`CircuitArrays`: names, gate types and
+fanin/fanout id lists with ids in one topological order, plus the
+name -> id map.  The ``.bench`` loader writes it directly, and the sweep,
+the shared-memory codec and cone extraction read it.  :class:`Circuit` is
+the façade over it: a circuit built with :meth:`Circuit.add_gate` keeps
+:class:`Node` records and compiles its arrays once, on the first derived
+query; a parsed circuit materializes its records only when someone asks
+for them.  A mutation drops the arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +59,156 @@ class Node:
             )
 
 
+class CircuitArrays:
+    """A netlist as int arrays; the form every derived query reads.
+
+    Ids number the nodes in the order of Kahn's algorithm over insertion
+    order with a LIFO ready list (see :func:`sort_netlist`), so ids are
+    a topological order and every fanin has a lower id than its gate.
+    Cone-local vertex ids, and with them every ascending-id tie-break
+    and every chain's JSON, are ranks in this numbering.
+
+    Attributes
+    ----------
+    order, types:
+        Name and gate type of each id.
+    pred:
+        ``pred[i]`` — fanin ids in declared order (order matters for
+        MUX); a repeated fanin appears twice.
+    succ:
+        ``succ[i]`` — ids driven by ``i``, ascending, with the same
+        multiplicity.
+    index:
+        Name -> id.
+    insertion:
+        Ids in insertion order (the order of the netlist's text).
+
+    The lists are shared between copies of a circuit and never edited in
+    place.
+    """
+
+    __slots__ = ("order", "types", "pred", "succ", "index", "insertion")
+
+    def __init__(
+        self,
+        order: List[str],
+        types: List[NodeType],
+        pred: List[List[int]],
+        insertion: List[int],
+        succ: Optional[List[List[int]]] = None,
+    ):
+        self.order = order
+        self.types = types
+        self.pred = pred
+        if succ is None:
+            succ = [[] for _ in order]
+            for i, drivers in enumerate(pred):
+                for d in drivers:
+                    succ[d].append(i)
+        self.succ = succ
+        self.index: Dict[str, int] = dict(zip(order, range(len(order))))
+        self.insertion = insertion
+
+    def __getstate__(self):
+        return self.order, self.types, self.pred, self.insertion
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
+
+    def cone_members(self, output: str) -> List[int]:
+        """Ids of ``output``'s transitive fanin, itself included, ascending.
+
+        Ascending ids are a topological order of the cone.
+        """
+        try:
+            root = self.index[output]
+        except KeyError:
+            raise UnknownNodeError(f"no node named {output!r}") from None
+        pred = self.pred
+        seen = {root}
+        stack = [root]
+        while stack:
+            for d in pred[stack.pop()]:
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return sorted(seen)
+
+
+def sort_netlist(
+    circuit_name: str,
+    names: List[str],
+    types: List[NodeType],
+    fanins: Sequence[Sequence[str]],
+    position: Optional[Dict[str, int]] = None,
+) -> CircuitArrays:
+    """Number a netlist given in insertion order topologically.
+
+    ``fanins`` names each node's drivers and ``position`` maps a name to
+    its insertion index (derived from ``names`` when omitted).  Kahn's
+    algorithm starts from the sources in insertion order, pops the ready
+    list LIFO and releases a gate's fanouts in insertion order; position
+    in that order is the id.
+
+    Raises
+    ------
+    UnknownNodeError
+        For the first node, in insertion order, with an undefined fanin.
+    NotADagError
+        If the netlist contains a combinational cycle.
+    """
+    n = len(names)
+    if position is None:
+        position = dict(zip(names, range(n)))
+    released: List[List[int]] = [[] for _ in range(n)]
+    try:
+        for k, drivers in enumerate(fanins):
+            for d in drivers:
+                released[position[d]].append(k)
+    except KeyError:
+        k, driver = next(
+            (k, d)
+            for k, drivers in enumerate(fanins)
+            for d in drivers
+            if d not in position
+        )
+        raise UnknownNodeError(
+            f"node {names[k]!r} references undefined fanin {driver!r}"
+        ) from None
+    indegree = list(map(len, fanins))
+    ready = [k for k in range(n) if not indegree[k]]
+    # A node pops after all its drivers, so its fanins are renumbered and
+    # its fanout entries appended, in ascending id order, on the spot.
+    rank = [0] * n
+    order: List[int] = []
+    pred: List[List[int]] = []
+    succ: List[List[int]] = [[] for _ in range(n)]
+    pop, push, emit, emit_pred = ready.pop, ready.append, order.append, pred.append
+    i = 0
+    while ready:
+        k = pop()
+        emit(k)
+        rank[k] = i
+        drivers = [rank[position[d]] for d in fanins[k]]
+        emit_pred(drivers)
+        for d in drivers:
+            succ[d].append(i)
+        i += 1
+        for s in released[k]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                push(s)
+    if i != n:
+        cyclic = sorted(names[k] for k in range(n) if indegree[k] > 0)
+        raise NotADagError(
+            f"circuit {circuit_name!r} has a combinational cycle "
+            f"involving {cyclic[:5]}..."
+        )
+    return CircuitArrays(
+        [names[k] for k in order], [types[k] for k in order], pred, rank, succ
+    )
+
+
 class Circuit:
     """A combinational circuit netlist.
 
@@ -81,11 +235,41 @@ class Circuit:
 
     def __init__(self, name: str = "circuit"):
         self.name = name
-        self._nodes: Dict[str, Node] = {}
+        # At least one of the two forms is present.  When both are, they
+        # describe the same netlist; the records are authoritative while
+        # the arrays are absent.
+        self._records: Optional[Dict[str, Node]] = {}
+        self._arrays: Optional[CircuitArrays] = None
         self._inputs: List[str] = []
         self._outputs: List[str] = []
-        self._fanouts: Optional[Dict[str, List[str]]] = None
-        self._topo: Optional[List[str]] = None
+
+    @classmethod
+    def from_arrays(
+        cls,
+        name: str,
+        arrays: CircuitArrays,
+        inputs: List[str],
+        outputs: List[str],
+    ) -> "Circuit":
+        """A circuit over already-sorted arrays (loaders and codecs).
+
+        ``inputs`` and ``outputs`` are taken as given: the caller has
+        checked that they name nodes of ``arrays`` and that ``outputs``
+        holds no duplicate.
+        """
+        circuit = cls.__new__(cls)
+        circuit.name = name
+        circuit._records = None
+        circuit._arrays = arrays
+        circuit._inputs = inputs
+        circuit._outputs = outputs
+        return circuit
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        if state["_arrays"] is not None:
+            state["_records"] = None  # pickles carry the arrays only
+        return state
 
     # ------------------------------------------------------------------
     # construction
@@ -118,30 +302,44 @@ class Circuit:
 
     def set_outputs(self, names: Iterable[str]) -> None:
         """Declare the primary outputs (order preserved, duplicates merged)."""
-        seen = set()
-        ordered = []
-        for name in names:
-            if name not in seen:
-                seen.add(name)
-                ordered.append(name)
-        self._outputs = ordered
-        self._invalidate()
+        self._outputs = list(dict.fromkeys(names))
 
     def add_output(self, name: str) -> None:
         """Append one primary output if not already present."""
         if name not in self._outputs:
             self._outputs.append(name)
-        self._invalidate()
 
     def _insert(self, node: Node) -> None:
-        if node.name in self._nodes:
+        records = self._nodes
+        if node.name in records:
             raise DuplicateNodeError(f"node {node.name!r} already defined")
-        self._nodes[node.name] = node
-        self._invalidate()
+        records[node.name] = node
 
-    def _invalidate(self) -> None:
-        self._fanouts = None
-        self._topo = None
+    @property
+    def _nodes(self) -> Dict[str, Node]:
+        """The name -> :class:`Node` table, for code that edits it.
+
+        The arrays no longer describe the circuit after an edit, so they
+        are dropped here and recompiled on the next derived query.
+        """
+        records = self._node_records()
+        self._arrays = None
+        return records
+
+    def _node_records(self) -> Dict[str, Node]:
+        records = self._records
+        if records is None:
+            arrays = self._arrays
+            names, types, pred = arrays.order, arrays.types, arrays.pred
+            records = {}
+            for i in arrays.insertion:
+                name = names[i]
+                records[name] = Node(
+                    name, types[i], tuple([names[d] for d in pred[i]])
+                )
+            # One assignment publishes the complete table to other threads.
+            self._records = records
+        return records
 
     # ------------------------------------------------------------------
     # accessors
@@ -159,52 +357,73 @@ class Circuit:
     def node(self, name: str) -> Node:
         """Look up a node by name (raises :class:`UnknownNodeError`)."""
         try:
-            return self._nodes[name]
+            return self._node_records()[name]
         except KeyError:
             raise UnknownNodeError(f"no node named {name!r}") from None
 
     def __contains__(self, name: object) -> bool:
-        return name in self._nodes
+        records = self._records
+        if records is not None:
+            return name in records
+        return name in self._arrays.index
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        records = self._records
+        if records is not None:
+            return len(records)
+        return len(self._arrays.order)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
+        records = self._records
+        if records is not None:
+            return iter(records)
+        return map(self._arrays.order.__getitem__, self._arrays.insertion)
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over all :class:`Node` records in insertion order."""
-        return iter(self._nodes.values())
+        return iter(self._node_records().values())
 
     def fanins(self, name: str) -> Tuple[str, ...]:
         """Driver names of ``name``."""
         return self.node(name).fanins
 
     def fanouts(self, name: str) -> List[str]:
-        """Names of nodes driven by ``name`` (derived, cached)."""
-        return list(self._fanout_map()[name])
+        """Names of nodes driven by ``name``, in topological order."""
+        arrays = self.arrays()
+        names = arrays.order
+        return [names[j] for j in arrays.succ[arrays.index[name]]]
 
     def fanout_degree(self, name: str) -> int:
         """Number of gates driven by ``name`` (the paper's ``Fanout(v)``)."""
-        return len(self._fanout_map()[name])
-
-    def _fanout_map(self) -> Dict[str, List[str]]:
-        if self._fanouts is None:
-            fanouts: Dict[str, List[str]] = {name: [] for name in self._nodes}
-            for node in self._nodes.values():
-                for driver in node.fanins:
-                    if driver not in fanouts:
-                        raise UnknownNodeError(
-                            f"node {node.name!r} references undefined "
-                            f"fanin {driver!r}"
-                        )
-                    fanouts[driver].append(node.name)
-            self._fanouts = fanouts
-        return self._fanouts
+        arrays = self.arrays()
+        return len(arrays.succ[arrays.index[name]])
 
     # ------------------------------------------------------------------
     # derived structure
     # ------------------------------------------------------------------
+    def arrays(self) -> CircuitArrays:
+        """The netlist as :class:`CircuitArrays`, compiled on first use.
+
+        Compiling is the circuit's one topological sort.
+
+        Raises
+        ------
+        UnknownNodeError
+            If a gate references an undefined fanin.
+        NotADagError
+            If the netlist contains a combinational cycle.
+        """
+        arrays = self._arrays
+        if arrays is None:
+            records = self._records
+            arrays = self._arrays = sort_netlist(
+                self.name,
+                list(records),
+                [node.type for node in records.values()],
+                [node.fanins for node in records.values()],
+            )
+        return arrays
+
     def topological_order(self) -> List[str]:
         """Node names ordered so every fanin precedes its gate.
 
@@ -213,26 +432,7 @@ class Circuit:
         NotADagError
             If the netlist contains a combinational cycle.
         """
-        if self._topo is None:
-            indegree = {name: len(self.node(name).fanins) for name in self._nodes}
-            fanouts = self._fanout_map()
-            ready = [name for name, deg in indegree.items() if deg == 0]
-            order: List[str] = []
-            while ready:
-                name = ready.pop()
-                order.append(name)
-                for sink in fanouts[name]:
-                    indegree[sink] -= 1
-                    if indegree[sink] == 0:
-                        ready.append(sink)
-            if len(order) != len(self._nodes):
-                cyclic = sorted(n for n, d in indegree.items() if d > 0)
-                raise NotADagError(
-                    f"circuit {self.name!r} has a combinational cycle "
-                    f"involving {cyclic[:5]}..."
-                )
-            self._topo = order
-        return list(self._topo)
+        return list(self.arrays().order)
 
     def validate(self) -> None:
         """Check structural well-formedness, raising :class:`CircuitError`.
@@ -240,29 +440,36 @@ class Circuit:
         Verifies that all fanin references resolve, the graph is acyclic,
         and every declared output exists.
         """
-        self._fanout_map()
-        self.topological_order()
+        arrays = self.arrays()
         for out in self._outputs:
-            if out not in self._nodes:
+            if out not in arrays.index:
                 raise UnknownNodeError(f"declared output {out!r} is undefined")
         for inp in self._inputs:
-            if self._nodes[inp].type is not NodeType.INPUT:
+            if arrays.types[arrays.index[inp]] is not NodeType.INPUT:
                 raise CircuitError(f"input list entry {inp!r} is not an INPUT node")
 
     def gate_count(self) -> int:
         """Number of non-input, non-constant nodes."""
-        return sum(1 for node in self._nodes.values() if node.type.is_gate)
+        records = self._records
+        types = (
+            self._arrays.types
+            if records is None
+            else [node.type for node in records.values()]
+        )
+        return sum(1 for node_type in types if node_type.is_gate)
 
     def copy(self, name: Optional[str] = None) -> "Circuit":
-        """Deep copy (nodes are immutable records, so sharing is safe)."""
+        """Deep copy (records are immutable and arrays are never edited
+        in place, so sharing both is safe)."""
         dup = Circuit(name or self.name)
-        dup._nodes = dict(self._nodes)
+        dup._records = None if self._records is None else dict(self._records)
+        dup._arrays = self._arrays
         dup._inputs = list(self._inputs)
         dup._outputs = list(self._outputs)
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Circuit({self.name!r}, nodes={len(self._nodes)}, "
+            f"Circuit({self.name!r}, nodes={len(self)}, "
             f"inputs={len(self._inputs)}, outputs={len(self._outputs)})"
         )

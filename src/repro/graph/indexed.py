@@ -138,28 +138,15 @@ class IndexedGraph:
                     "specify which cone to extract"
                 )
             output = outs[0]
-        if output not in circuit:
-            raise UnknownNodeError(f"no node named {output!r}")
-
-        # Collect the transitive fanin cone of the chosen output.
-        cone_names: List[str] = []
-        seen = {output}
-        stack = [output]
-        while stack:
-            name = stack.pop()
-            cone_names.append(name)
-            for driver in circuit.fanins(name):
-                if driver not in seen:
-                    seen.add(driver)
-                    stack.append(driver)
-
-        order = [nm for nm in circuit.topological_order() if nm in seen]
-        index = {nm: i for i, nm in enumerate(order)}
-        succ: List[List[int]] = [[] for _ in order]
-        for nm in order:
-            for driver in circuit.fanins(nm):
-                succ[index[driver]].append(index[nm])
-        return cls(succ, root=index[output], names=order)
+        arrays = circuit.arrays()
+        members = arrays.cone_members(output)
+        local = dict(zip(members, range(len(members))))
+        succ, order = arrays.succ, arrays.order
+        return cls(
+            [[local[w] for w in succ[v] if w in local] for v in members],
+            root=local[arrays.index[output]],
+            names=[order[v] for v in members],
+        )
 
     # ------------------------------------------------------------------
     # traversal

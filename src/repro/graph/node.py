@@ -129,21 +129,23 @@ def evaluate_gate(node_type: NodeType, fanin_bits: Sequence[int]) -> int:
     return _EVALUATORS[node_type](fanin_bits)
 
 
+#: Every accepted textual gate name, lower-cased: the enum values plus the
+#: aliases found in .bench files.  The netlist loaders look tokens up here.
+GATE_TOKENS: dict[str, NodeType] = {
+    **{node_type.value: node_type for node_type in NodeType},
+    "inv": NodeType.NOT,
+    "buff": NodeType.BUF,
+    "buffer": NodeType.BUF,
+    "vdd": NodeType.CONST1,
+    "gnd": NodeType.CONST0,
+    "one": NodeType.CONST1,
+    "zero": NodeType.CONST0,
+}
+
+
 def parse_node_type(token: str) -> NodeType:
     """Map a textual gate name (as found in .bench/BLIF files) to a type."""
-    normalized = token.strip().lower()
-    aliases = {
-        "inv": NodeType.NOT,
-        "buff": NodeType.BUF,
-        "buffer": NodeType.BUF,
-        "vdd": NodeType.CONST1,
-        "gnd": NodeType.CONST0,
-        "one": NodeType.CONST1,
-        "zero": NodeType.CONST0,
-    }
-    if normalized in aliases:
-        return aliases[normalized]
     try:
-        return NodeType(normalized)
-    except ValueError as exc:
-        raise ValueError(f"unknown gate type {token!r}") from exc
+        return GATE_TOKENS[token.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown gate type {token!r}") from None

@@ -194,9 +194,11 @@ class IncrementalEngine:
         """Open a session on one output cone of a netlist."""
         graph = IndexedGraph.from_circuit(circuit, output)
         engine = cls(graph, backend=backend, metrics=metrics)
-        for name in graph.names:
-            if name is not None and name in circuit:
-                engine.gate_types[name] = circuit.node(name).type.value
+        arrays = circuit.arrays()
+        types, index = arrays.types, arrays.index
+        engine.gate_types.update(
+            (name, types[index[name]].value) for name in graph.names
+        )
         return engine
 
     # ------------------------------------------------------------------

@@ -18,28 +18,51 @@ directions round-trip via :func:`dumps` / :func:`dumps_sequential`.
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Dict, List, NoReturn, Union
 
-from ..errors import CircuitError, ParseError
-from ..graph.circuit import Circuit
-from ..graph.node import NodeType, parse_node_type
+from ..errors import CircuitError, NotADagError, ParseError, UnknownNodeError
+from ..graph.circuit import Circuit, sort_netlist
+from ..graph.node import GATE_TOKENS, MAX_FANIN, MIN_FANIN, NodeType
 
-_DECL_RE = re.compile(r"^(INPUT|OUTPUT)\s*\(\s*([^)]+?)\s*\)$", re.IGNORECASE)
-_GATE_RE = re.compile(r"^(\S+)\s*=\s*([A-Za-z01]+)\s*\(\s*(.*?)\s*\)$")
+# Line breaks other than "\n" that ``str.splitlines`` honours.
+_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# One match per line of the text once its line breaks are all "\n" (the
+# i-th row of ``findall`` is line i), and exactly the line grammar of
+# ``.bench``: everything from the first ``#`` on is a comment, the rest,
+# stripped, is a declaration ``INPUT(x)``/``OUTPUT(x)`` (keyword in any
+# case; the name may hold spaces), a gate ``x = TYPE(a, b, ...)``, or
+# empty.  Rows: (keyword, declared name, gate, type token, fanin list,
+# anything else).
+_WS = r"[^\S\n]*"
+_LINE_RE = re.compile(
+    rf"^{_WS}(?:"
+    rf"((?i:INPUT|OUTPUT)){_WS}\({_WS}([^)#\n]+?){_WS}\)"
+    rf"|([^\s#]+){_WS}={_WS}([A-Za-z01]+){_WS}\(([^#\n]*)\)"
+    rf"|([^#\n]*?)"
+    rf"){_WS}(?:#[^\n]*)?$",
+    re.MULTILINE,
+)
+# The stripped, non-empty comma-separated items of a fanin list.
+_FANIN_RE = re.compile(r"[^\s,](?:[^,]*[^\s,])?")
+# Type token, lower or upper case -> (type, fewest fanins, most fanins);
+# at most 0: the type takes no fanin list (inputs, constants).
+_GATES = {
+    spelling: (
+        node_type,
+        MIN_FANIN[node_type],
+        sys.maxsize if MAX_FANIN[node_type] is None else MAX_FANIN[node_type],
+    )
+    for token, node_type in GATE_TOKENS.items()
+    for spelling in (token, token.upper())
+}
 
+# The spelling ``dumps`` writes for each type.
 _TYPE_TOKENS = {
-    NodeType.BUF: "BUF",
-    NodeType.NOT: "NOT",
-    NodeType.AND: "AND",
-    NodeType.NAND: "NAND",
-    NodeType.OR: "OR",
-    NodeType.NOR: "NOR",
-    NodeType.XOR: "XOR",
-    NodeType.XNOR: "XNOR",
-    NodeType.CONST0: "CONST0",
-    NodeType.CONST1: "CONST1",
-    NodeType.MUX: "MUX",
+    node_type: node_type.value.upper()
+    for node_type in NodeType
+    if not node_type.is_input
 }
 
 
@@ -49,7 +72,7 @@ def loads(text: str, name: str = "bench") -> Circuit:
     ``DFF`` lines raise; use :func:`loads_sequential` for netlists with
     state elements.
     """
-    circuit, flops, _ = _parse(text, name, allow_dff=False)
+    circuit, _flops, _ = _parse(text, name, allow_dff=False)
     return circuit
 
 
@@ -74,95 +97,142 @@ def loads_sequential(text: str, name: str = "bench"):
 
 
 def _parse(text: str, name: str, allow_dff: bool):
-    circuit = Circuit(name)
+    """One scan of ``text`` into insertion-order lists, then one sort.
+
+    Nodes are numbered in definition order while scanning; forward
+    references are legal, so fanin names are resolved by
+    :func:`~repro.graph.circuit.sort_netlist`, which then renumbers the
+    nodes topologically.
+    """
+    if _BREAKS.search(text):
+        text = "\n".join(text.splitlines())
+    rows = _LINE_RE.findall(text)
+    ids: Dict[str, int] = {}
+    names: List[str] = []
+    types: List[NodeType] = []
+    fanin_names: List[List[str]] = []
+    inputs: List[str] = []
     outputs: List[str] = []
     primary_inputs: List[str] = []
-    flops = {}
-    defined_at: dict = {}  # signal -> line of its definition
-    output_at: dict = {}  # declared output -> line of its OUTPUT(...)
-    reference_lines: List[Tuple[int, str, str]] = []  # (line, gate, fanin)
+    flops: Dict[str, str] = {}
+    no_fanins: List[str] = []
+    gates, input_type = _GATES, NodeType.INPUT
+    split_fanins = _FANIN_RE.findall
+    add_name, add_type, add_fanins = (
+        names.append, types.append, fanin_names.append
+    )
+    k = 0  # insertion index of the next node
 
-    def define(signal: str, lineno: int) -> None:
-        if signal in defined_at:
-            raise ParseError(
-                f"duplicate definition of {signal!r} "
-                f"(first defined at line {defined_at[signal]})",
-                lineno,
-            )
-        defined_at[signal] = lineno
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        decl = _DECL_RE.match(line)
-        if decl:
-            kind, signal = decl.group(1).upper(), decl.group(2)
-            if kind == "INPUT":
-                define(signal, lineno)
-                circuit.add_input(signal)
-                primary_inputs.append(signal)
-            else:
-                outputs.append(signal)
-                output_at.setdefault(signal, lineno)
-            continue
-        gate = _GATE_RE.match(line)
-        if gate:
-            target, type_token, args = gate.groups()
-            fanins = [a.strip() for a in args.split(",") if a.strip()]
-            if type_token.upper() == "DFF":
+    for lineno, (keyword, signal, target, token, args, other) in enumerate(
+        rows, 1
+    ):
+        if target:
+            gate = gates.get(token) or gates.get(token.lower())
+            if gate is None:
+                if token.upper() != "DFF":
+                    raise ParseError(f"unknown gate type {token!r}", lineno)
                 if not allow_dff:
                     raise ParseError(
                         "sequential element DFF is not supported here; "
                         "use loads_sequential()",
                         lineno,
                     )
+                fanins = split_fanins(args)
                 if len(fanins) != 1:
                     raise ParseError("DFF takes exactly one input", lineno)
+                if target in ids:
+                    _duplicate(rows, target, lineno)
                 # The flop output becomes a pseudo PI; record state map.
-                define(target, lineno)
-                circuit.add_input(target)
                 flops[target] = fanins[0]
-                reference_lines.append((lineno, target, fanins[0]))
-                continue
-            try:
-                node_type = parse_node_type(type_token)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            define(target, lineno)
-            if node_type.is_constant:
-                circuit.add_constant(
-                    target, 1 if node_type is NodeType.CONST1 else 0
-                )
+                inputs.append(target)
+                node_type, fanins = input_type, no_fanins
             else:
-                circuit.add_gate(target, node_type, fanins)
-                for fanin in fanins:
-                    reference_lines.append((lineno, target, fanin))
+                node_type, fewest, most = gate
+                if target in ids:
+                    _duplicate(rows, target, lineno)
+                if most:
+                    fanins = split_fanins(args)
+                    if not fewest <= len(fanins) <= most:
+                        raise CircuitError(
+                            f"node {target!r}: {node_type.value} gate cannot "
+                            f"take {len(fanins)} fanins"
+                        )
+                elif node_type is input_type:
+                    raise CircuitError(
+                        "use add_input() to declare primary inputs"
+                    )
+                else:  # a constant: its fanin list is ignored
+                    fanins = no_fanins
+            signal = target
+        elif keyword:
+            if keyword.upper() == "OUTPUT":
+                outputs.append(signal)
+                continue
+            if signal in ids:
+                _duplicate(rows, signal, lineno)
+            node_type, fanins = input_type, no_fanins
+            inputs.append(signal)
+            primary_inputs.append(signal)
+        elif other:
+            raise ParseError(f"unrecognized statement: {other!r}", lineno)
+        else:
             continue
-        raise ParseError(f"unrecognized statement: {line!r}", lineno)
+        ids[signal] = k
+        k += 1
+        add_name(signal)
+        add_type(node_type)
+        add_fanins(fanins)
 
-    # Forward references are legal in .bench, so dangling fanins are only
-    # detectable once the whole file has been read.  Reporting them here
-    # (with the referencing line) beats the bare KeyError a later
-    # fanout/topology pass would produce from a silently corrupt circuit.
-    for lineno, target, fanin in reference_lines:
-        if fanin not in defined_at:
-            raise ParseError(
-                f"gate {target!r} references undefined signal {fanin!r}",
-                lineno,
-            )
-    for signal in outputs:
-        if signal not in defined_at:
-            raise ParseError(
-                f"declared output {signal!r} is never defined",
-                output_at[signal],
-            )
-    circuit.set_outputs(outputs)
+    if not ids.keys() >= {*flops.values(), *outputs}:
+        _dangling(rows, ids)
     try:
-        circuit.validate()
-    except CircuitError as exc:  # structural problems, e.g. a cycle
+        arrays = sort_netlist(name, names, types, fanin_names, ids)
+    except UnknownNodeError:
+        _dangling(rows, ids)
+    except NotADagError as exc:  # a combinational cycle
         raise ParseError(str(exc)) from exc
+    circuit = Circuit.from_arrays(
+        name, arrays, inputs, list(dict.fromkeys(outputs))
+    )
     return circuit, flops, primary_inputs
+
+
+# The scan keeps no line numbers; an error re-reads its rows (row i is
+# line i) for the lines it reports.
+def _duplicate(rows, signal: str, lineno: int) -> NoReturn:
+    first = next(
+        i
+        for i, (keyword, declared, target, *_rest) in enumerate(rows, 1)
+        if target == signal
+        or (declared == signal and keyword.upper() == "INPUT")
+    )
+    raise ParseError(
+        f"duplicate definition of {signal!r} (first defined at line {first})",
+        lineno,
+    )
+
+
+def _dangling(rows, ids: Dict[str, int]) -> NoReturn:
+    """Raise for the first reference to an undefined signal.
+
+    Fanins (and flip-flop data inputs) come first, in line order, then
+    declared outputs at their first ``OUTPUT`` line.
+    """
+    for lineno, (_kw, _decl, target, token, args, _other) in enumerate(rows, 1):
+        node_type = GATE_TOKENS.get(token.lower())
+        if target and (node_type is None or not node_type.is_constant):
+            for fanin in _FANIN_RE.findall(args):
+                if fanin not in ids:
+                    raise ParseError(
+                        f"gate {target!r} references undefined signal "
+                        f"{fanin!r}",
+                        lineno,
+                    )
+    for lineno, (keyword, signal, *_rest) in enumerate(rows, 1):
+        if keyword.upper() == "OUTPUT" and signal not in ids:
+            raise ParseError(
+                f"declared output {signal!r} is never defined", lineno
+            )
 
 
 def load(path: Union[str, Path]) -> Circuit:
@@ -184,13 +254,17 @@ def dumps(circuit: Circuit) -> str:
         lines.append(f"INPUT({pi})")
     for out in circuit.outputs:
         lines.append(f"OUTPUT({out})")
-    for node in circuit.nodes():
-        if node.type is NodeType.INPUT:
-            continue
-        token = _TYPE_TOKENS[node.type]
-        args = ", ".join(node.fanins)
-        lines.append(f"{node.name} = {token}({args})")
+    lines += _gate_lines(circuit)
     return "\n".join(lines) + "\n"
+
+
+def _gate_lines(circuit: Circuit) -> List[str]:
+    """``name = TYPE(fanins)`` of every non-input node, in insertion order."""
+    return [
+        f"{node.name} = {_TYPE_TOKENS[node.type]}({', '.join(node.fanins)})"
+        for node in circuit.nodes()
+        if node.type is not NodeType.INPUT
+    ]
 
 
 def dump(circuit: Circuit, path: Union[str, Path]) -> None:
@@ -213,12 +287,7 @@ def dumps_sequential(sequential) -> str:
         lines.append(f"OUTPUT({out})")
     for flop_out, data_in in sequential.flops.items():
         lines.append(f"{flop_out} = DFF({data_in})")
-    for node in sequential.combinational.nodes():
-        if node.type is NodeType.INPUT:
-            continue
-        token = _TYPE_TOKENS[node.type]
-        args = ", ".join(node.fanins)
-        lines.append(f"{node.name} = {token}({args})")
+    lines += _gate_lines(sequential.combinational)
     return "\n".join(lines) + "\n"
 
 

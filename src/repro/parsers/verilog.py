@@ -25,17 +25,12 @@ from typing import Dict, List, Tuple, Union
 
 from ..errors import CircuitError, ParseError
 from ..graph.circuit import Circuit
-from ..graph.node import NodeType
+from ..graph.node import GATE_TOKENS, NodeType
 
+# The gate primitives of structural Verilog, spelled as they must appear.
 _PRIMITIVES = {
-    "and": NodeType.AND,
-    "nand": NodeType.NAND,
-    "or": NodeType.OR,
-    "nor": NodeType.NOR,
-    "xor": NodeType.XOR,
-    "xnor": NodeType.XNOR,
-    "not": NodeType.NOT,
-    "buf": NodeType.BUF,
+    token: GATE_TOKENS[token]
+    for token in ("and", "nand", "or", "nor", "xor", "xnor", "not", "buf")
 }
 
 _TOKEN_FOR = {v: k for k, v in _PRIMITIVES.items()}

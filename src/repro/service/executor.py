@@ -43,12 +43,10 @@ from ..dominators.kernels import validate_kernels
 from ..dominators.shared import (
     DEFAULT_BACKEND,
     CircuitScratch,
-    SharedCircuitIndex,
     cone_graph,
     validate_backend,
 )
 from ..graph.circuit import Circuit
-from ..graph.indexed import IndexedGraph
 from .artifacts import ArtifactStore
 from .hashing import circuit_fingerprint
 from .jobs import Batch
@@ -75,15 +73,9 @@ def sequential_cone_chains(
     configuration but the default, and the single-cone reference in
     tests.
 
-    Except under ``backend="legacy"`` the cone itself comes out of the
-    circuit's :class:`~repro.dominators.shared.SharedCircuitIndex`, so a
-    sweep over *k* outputs converts the string-keyed netlist to int
-    adjacency once instead of *k* times.
+    The cone is taken with one walk over the circuit's arrays.
     """
-    if backend != "legacy":
-        graph = cone_graph(circuit, output)
-    else:
-        graph = IndexedGraph.from_circuit(circuit, output)
+    graph = cone_graph(circuit, output)
     computer = ChainComputer(
         graph, metrics=metrics, backend=backend, kernels=kernels
     )
@@ -134,7 +126,7 @@ def _cone_chains(circuit, cone_jobs, metrics, backend, kernels):
     """
     views = None
     if backend == "linear" and kernels == "python":
-        views = CircuitScratch(SharedCircuitIndex.for_circuit(circuit))
+        views = CircuitScratch(circuit.arrays())
     for output, targets in cone_jobs:
         start = time.perf_counter()
         chains = None

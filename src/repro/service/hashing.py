@@ -16,26 +16,34 @@ cone's artifacts.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
-from ..graph.circuit import Circuit
+from ..graph.circuit import Circuit, CircuitArrays
 
 
-def _feed(hasher: "hashlib._Hash", parts: Iterable[str]) -> None:
-    for part in parts:
-        hasher.update(part.encode("utf-8"))
-        hasher.update(b"\x00")
+def _digest(parts: List[str]) -> str:
+    """SHA-256 of the parts, each UTF-8 encoded and NUL-terminated."""
+    text = "\x00".join(parts) + "\x00"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _node_parts(arrays: CircuitArrays, ids: Iterable[int]) -> List[str]:
+    """``node, name, type, *fanins`` of each id, ids sorted by name."""
+    order, types, pred = arrays.order, arrays.types, arrays.pred
+    parts: List[str] = []
+    for i in sorted(ids, key=order.__getitem__):
+        parts += ("node", order[i], types[i].value)
+        parts += [order[d] for d in pred[i]]
+    return parts
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
     """Hex digest identifying the full netlist (structure, not name)."""
-    hasher = hashlib.sha256()
-    _feed(hasher, ("inputs", *circuit.inputs))
-    _feed(hasher, ("outputs", *circuit.outputs))
-    for name in sorted(iter(circuit)):
-        node = circuit.node(name)
-        _feed(hasher, ("node", name, node.type.value, *node.fanins))
-    return hasher.hexdigest()
+    arrays = circuit.arrays()
+    return _digest(
+        ["inputs", *circuit.inputs, "outputs", *circuit.outputs]
+        + _node_parts(arrays, range(len(arrays.order)))
+    )
 
 
 def cone_fingerprint(circuit: Circuit, output: str) -> str:
@@ -44,20 +52,10 @@ def cone_fingerprint(circuit: Circuit, output: str) -> str:
     Only the nodes that can reach ``output`` contribute, so the digest
     is stable under edits elsewhere in the netlist.
     """
-    members = set()
-    stack = [output]
-    while stack:
-        name = stack.pop()
-        if name in members:
-            continue
-        members.add(name)
-        stack.extend(circuit.node(name).fanins)
-    hasher = hashlib.sha256()
-    _feed(hasher, ("cone", output))
-    for name in sorted(members):
-        node = circuit.node(name)
-        _feed(hasher, ("node", name, node.type.value, *node.fanins))
-    return hasher.hexdigest()
+    arrays = circuit.arrays()
+    return _digest(
+        ["cone", output] + _node_parts(arrays, arrays.cone_members(output))
+    )
 
 
 def safe_key(text: str, keep: int = 24) -> str:

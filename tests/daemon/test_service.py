@@ -655,10 +655,18 @@ class TestLifecycle:
         svc = DaemonService(ServiceConfig(jobs=2))
         key = _load(svc, circuit)
         svc.handle(_request("sweep", {"circuit": key}))
+        published = svc.metrics.snapshot()["counters"].get("shm.publishes", 0)
         svc.close()
         if os.path.isdir("/dev/shm"):
+            assert published > 0
+            # Only this service's segments: the pool names them
+            # rpro_<key>_<version>_<pid>_<n>, and other daemons on the
+            # host may hold segments of their own.
+            pid = str(os.getpid())
             leftovers = [
-                f for f in os.listdir("/dev/shm") if f.startswith("rpro_")
+                f
+                for f in os.listdir("/dev/shm")
+                if f.startswith("rpro_") and f.split("_")[-2] == pid
             ]
             assert leftovers == []
 

@@ -15,7 +15,7 @@ from repro.daemon.shm import (
     encode_circuit,
     shared_memory_available,
 )
-from repro.dominators.shared import SharedCircuitIndex, cone_graph
+from repro.dominators.shared import cone_graph
 from repro.graph.circuit import Circuit
 from repro.graph.indexed import IndexedGraph
 from repro.graph.node import NodeType
@@ -65,10 +65,13 @@ class TestCodec:
     def test_decode_preseeds_circuit_index(self):
         circuit = _circuit(seed=9)
         decoded = decode_circuit(encode_circuit(circuit))
-        # for_circuit must serve the pre-seeded index (no rebuild).
-        index = SharedCircuitIndex.for_circuit(decoded)
-        again = SharedCircuitIndex.for_circuit(decoded)
+        # The decoded arrays are adopted as the circuit's index: asking
+        # again serves them, nothing is rebuilt or re-sorted.
+        index = decoded.arrays()
+        again = decoded.arrays()
         assert index is again
+        assert index.order == circuit.arrays().order
+        assert index.pred == circuit.arrays().pred
         for out in circuit.outputs:
             assert (
                 cone_graph(decoded, out).names

@@ -16,7 +16,6 @@ from repro.circuits.suite import set_seed_offset, table1_suite
 from repro.core.algorithm import ChainComputer
 from repro.dominators.shared import (
     CircuitScratch,
-    SharedCircuitIndex,
     cone_graph,
 )
 from repro.errors import CircuitError, UnknownNodeError
@@ -125,7 +124,7 @@ class TestChains:
 
     def test_explicit_targets(self):
         circuit = table1_suite()["alu2"].circuit(0.2)
-        views = CircuitScratch(SharedCircuitIndex.for_circuit(circuit))
+        views = CircuitScratch(circuit.arrays())
         output = circuit.outputs[0]
         full = reference(circuit, [output])[output]
         targets = sorted(full)[::2]
@@ -160,7 +159,7 @@ class TestRegionTable:
         metrics = MetricsRegistry()
         assert sweep(circuit, metrics) == reference(circuit)
         assert metrics.snapshot()["counters"]["core.region_expansions"] == 4
-        views = CircuitScratch(SharedCircuitIndex.for_circuit(circuit))
+        views = CircuitScratch(circuit.arrays())
         index = views.index.index
         for output in circuit.outputs:
             view = views.view(output)
@@ -175,7 +174,7 @@ class TestRegionTable:
 class TestViews:
     def test_cascade_past_the_tree_budget_falls_back(self):
         circuit = cascade(100)
-        views = CircuitScratch(SharedCircuitIndex.for_circuit(circuit))
+        views = CircuitScratch(circuit.arrays())
         assert views.view("out") is None
         metrics = MetricsRegistry()
         assert sweep(circuit, metrics) == reference(circuit)
@@ -184,7 +183,7 @@ class TestViews:
 
     def test_a_view_does_not_outlive_its_cone(self):
         circuit = nested()
-        views = CircuitScratch(SharedCircuitIndex.for_circuit(circuit))
+        views = CircuitScratch(circuit.arrays())
         first = views.view("o1")
         computer = ChainComputer(first)
         computer.chain(first.sources()[0])
@@ -196,7 +195,7 @@ class TestViews:
 
     def test_a_view_takes_no_other_options(self):
         circuit = nested()
-        view = CircuitScratch(SharedCircuitIndex.for_circuit(circuit)).view(
+        view = CircuitScratch(circuit.arrays()).view(
             "o1"
         )
         for options in (
@@ -209,7 +208,7 @@ class TestViews:
 
     def test_view_tree_matches_the_materialized_tree(self):
         circuit = table1_suite()["C432"].circuit(0.2)
-        views = CircuitScratch(SharedCircuitIndex.for_circuit(circuit))
+        views = CircuitScratch(circuit.arrays())
         for output in circuit.outputs:
             view = views.view(output)
             tree = ChainComputer(view).tree
