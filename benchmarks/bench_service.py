@@ -1,16 +1,20 @@
-"""Daemon load generator: shm dispatch throughput and request latency.
+"""Sweep dispatch throughput and daemon request latency.
 
-Two studies against a live :class:`~repro.daemon.service.DaemonService`:
+Two studies:
 
-* **dispatch** — repeated ``sweep`` requests over a large multi-output
-  netlist with ``chunk_size=1`` (one cone per worker task, the
-  worst case for payload overhead), comparing shared-memory circuit
-  publication (workers attach a
-  :class:`~repro.daemon.shm.CircuitRef` and decode the flat arrays
-  once) against per-chunk pickling of the whole netlist.  The headline
-  number is ``shm_speedup`` — sweep throughput with shared memory over
-  throughput with pickling — which the CI gate requires to be >= 2x.
-* **latency** — a multi-tenant closed-loop burst: worker threads
+* **dispatch** — repeated sweeps over a large multi-output netlist with
+  one cone per worker task (the worst case for payload overhead).  The
+  production side is ``ParallelExecutor(ExecutorConfig(jobs,
+  chunk_size=1))``: it publishes the circuit to shared memory once and
+  each task carries a :class:`~repro.daemon.shm.CircuitRef` that the
+  workers attach and decode once.  The baseline, which lives only in
+  this script, pickles the whole netlist into every task, as the
+  executor's removed pickled dispatch did, and runs the same per-cone
+  chain code in a pool of the same size.  The headline number is
+  ``shm_speedup`` — sweep throughput with shared memory over throughput
+  with pickling — which the CI gate requires to be >= 2x.
+* **latency** — a multi-tenant closed-loop burst against a live
+  :class:`~repro.daemon.service.DaemonService`: worker threads
   playing distinct tenants hammer ``chain`` requests through admission
   control.  p50/p99 come from the service's own
   ``daemon.chain_seconds`` :class:`~repro.service.metrics.Histogram`
@@ -22,7 +26,9 @@ next to the repo's other ``BENCH_*`` artifacts; ``--quick`` shrinks
 both studies for CI smoke runs.
 """
 
+import concurrent.futures
 import json
+import multiprocessing
 import statistics
 import threading
 import time
@@ -32,6 +38,15 @@ from repro.circuits.generators import random_circuit
 from repro.daemon.protocol import Request
 from repro.daemon.service import DaemonService, ServiceConfig
 from repro.daemon.shm import shared_memory_available
+from repro.dominators.shared import CircuitScratch
+from repro.service import (
+    ExecutorConfig,
+    MetricsRegistry,
+    ParallelExecutor,
+    pairs_in_chain_dict,
+    sequential_cone_chains,
+)
+from repro.service.executor import view_cone_chains
 
 
 def _dispatch_circuit(quick: bool):
@@ -55,44 +70,72 @@ def _dispatch_circuit(quick: bool):
     )
 
 
-def _run_sweeps(use_shared_memory: bool, circuit, jobs: int, rounds: int):
-    """Throughput of ``rounds`` sweep requests under one dispatch mode."""
-    config = ServiceConfig(
-        jobs=jobs,
-        chunk_size=1,
-        use_shared_memory=use_shared_memory,
-        max_in_flight=64,
-        tenant_rate=1e9,
-        tenant_burst=1e9,
-    )
-    with DaemonService(config) as service:
-        load = service.handle(
-            Request(op="load", params={"definition": _definition(circuit)})
-        )
-        assert load["ok"], load
-        key = load["result"]["circuit"]
-        # Warm-up: fork the worker pool, decode/attach once, fill caches.
-        warm = service.handle(Request(op="sweep", params={"circuit": key}))
-        assert warm["ok"], warm
-        dispatch = warm["result"]["dispatch"]
-        walls = []
-        start = time.perf_counter()
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            resp = service.handle(Request(op="sweep", params={"circuit": key}))
-            assert resp["ok"], resp
-            walls.append(time.perf_counter() - t0)
-        elapsed = time.perf_counter() - start
-        total_pairs = resp["result"]["total_pairs"]
-        stats = service.handle(Request(op="stats"))["result"]
+def _pickled_cone(payload):
+    """Baseline worker task: the whole netlist arrives with one cone.
+
+    Returns what an executor chunk returns: the chains and the worker's
+    metrics snapshot.
+    """
+    circuit, output = payload
+    registry = MetricsRegistry()
+    views = CircuitScratch(circuit.arrays())
+    chains = view_cone_chains(views, output, metrics=registry)
+    if chains is None:
+        chains = sequential_cone_chains(circuit, output, metrics=registry)
+    return chains, registry.snapshot()
+
+
+def _timed(sweep, rounds: int):
+    """Warm-up once (fork, attach, caches), then time ``rounds`` sweeps."""
+    pairs = sweep()
+    walls = []
+    start = time.perf_counter()
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        assert sweep() == pairs
+        walls.append(time.perf_counter() - t0)
+    elapsed = time.perf_counter() - start
     return {
-        "dispatch": dispatch,
         "rounds": rounds,
         "sweeps_per_second": rounds / elapsed,
         "sweep_wall_median_ms": statistics.median(walls) * 1e3,
-        "pairs_per_sweep": total_pairs,
-        "shm": stats["shared_memory"],
+        "pairs_per_sweep": pairs,
     }
+
+
+def _shm_sweeps(circuit, jobs: int, rounds: int):
+    metrics = MetricsRegistry()
+    config = ExecutorConfig(jobs=jobs, chunk_size=1)
+    with ParallelExecutor(config, metrics=metrics) as executor:
+
+        def sweep():
+            results = executor.sweep_circuit(circuit)
+            assert all(r.source == "parallel" for r in results)
+            return sum(r.num_pairs for r in results)
+
+        row = _timed(sweep, rounds)
+    counters = metrics.snapshot()["counters"]
+    row["shm"] = {
+        "publishes": counters["shm.publishes"],
+        "bytes_published": counters["shm.bytes_published"],
+    }
+    return row
+
+
+def _pickled_sweeps(circuit, jobs: int, rounds: int):
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(jobs, context) as pool:
+
+        def sweep():
+            metrics = MetricsRegistry()
+            tasks = [(circuit, output) for output in circuit.outputs]
+            pairs = 0
+            for chains, snapshot in pool.map(_pickled_cone, tasks):
+                metrics.merge_snapshot(snapshot)
+                pairs += sum(pairs_in_chain_dict(c) for c in chains.values())
+            return pairs
+
+        return _timed(sweep, rounds)
 
 
 def _definition(circuit):
@@ -113,10 +156,8 @@ def _definition(circuit):
 def dispatch_study(quick: bool, jobs: int):
     circuit = _dispatch_circuit(quick)
     rounds = 3 if quick else 8
-    pickle_row = _run_sweeps(False, circuit, jobs, rounds)
-    shm_row = _run_sweeps(True, circuit, jobs, rounds)
-    assert pickle_row["dispatch"] == "pickle"
-    assert shm_row["dispatch"] == "shm"
+    pickle_row = _pickled_sweeps(circuit, jobs, rounds)
+    shm_row = _shm_sweeps(circuit, jobs, rounds)
     assert shm_row["pairs_per_sweep"] == pickle_row["pairs_per_sweep"]
     return {
         "circuit_nodes": len(circuit),
@@ -246,7 +287,7 @@ def main(argv=None):
     )
 
     report = {
-        "benchmark": "daemon shm dispatch throughput and request latency",
+        "benchmark": "sweep shm dispatch throughput and daemon request latency",
         "quick": args.quick,
         "dispatch": dispatch,
         "latency": latency,

@@ -98,8 +98,8 @@ def test_baseline_algorithm(benchmark, name):
 
 
 def _run_parallel(circuit):
-    executor = ParallelExecutor(ExecutorConfig(jobs=SWEEP_JOBS))
-    return sum(r.num_pairs for r in executor.sweep_circuit(circuit))
+    with ParallelExecutor(ExecutorConfig(jobs=SWEEP_JOBS)) as executor:
+        return sum(r.num_pairs for r in executor.sweep_circuit(circuit))
 
 
 @pytest.mark.parametrize("name", QUICK_SUBSET)

@@ -419,13 +419,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
         executor, metrics = _make_executor(args)
-        report = sweep_sequential_suite(
-            executor,
-            names=names,
-            scale=args.scale,
-            view=args.sequential,
-            verbose=not args.no_progress,
-        )
+        with executor:
+            report = sweep_sequential_suite(
+                executor,
+                names=names,
+                scale=args.scale,
+                view=args.sequential,
+                verbose=not args.no_progress,
+            )
     else:
         suite = table1_suite()
         names = args.names or (QUICK_SUBSET if args.quick else None)
@@ -436,12 +437,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
         executor, metrics = _make_executor(args)
-        report = sweep_suite(
-            executor,
-            names=names,
-            scale=args.scale,
-            verbose=not args.no_progress,
-        )
+        with executor:
+            report = sweep_suite(
+                executor,
+                names=names,
+                scale=args.scale,
+                verbose=not args.no_progress,
+            )
     header = (
         f"{'name':10s} {'cones':>6s} {'chains':>7s} {'pairs':>8s} "
         f"{'wall [s]':>9s} {'art.hits':>8s}"
@@ -540,7 +542,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
     batches = queue.drain()
     try:
-        results = executor.run_batches(circuits, batches)
+        with executor:
+            results = executor.run_batches(circuits, batches)
     except CircuitError as exc:
         # e.g. a target that exists in the netlist but not in the
         # requested output cone.
@@ -600,7 +603,6 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             backend=getattr(args, "backend", DEFAULT_BACKEND),
             kernels=getattr(args, "kernels", "python"),
-            use_shared_memory=not args.no_shared_memory,
             max_in_flight=args.max_in_flight,
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
@@ -940,11 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve HTTP on 127.0.0.1:PORT (0 = ephemeral)",
     )
     p_daemon.add_argument("--jobs", type=jobs_arg, default=1)
-    p_daemon.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="disable shared-memory circuit publication",
-    )
     p_daemon.add_argument(
         "--max-in-flight",
         type=jobs_arg,

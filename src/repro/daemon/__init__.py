@@ -17,7 +17,7 @@ a process alive between queries and makes the expensive state persistent:
   ``shutdown``),
 * :mod:`~repro.daemon.service` — :class:`DaemonService`, the stateful
   core holding loaded circuits, per-cone incremental engines and the
-  persistent worker pool,
+  :class:`~repro.service.executor.ParallelExecutor` its sweeps run on,
 * :mod:`~repro.daemon.server` — the asyncio front ends: stdin/stdout
   JSONL and a localhost HTTP/1.1 endpoint.
 

@@ -10,14 +10,14 @@ The service owns everything that should outlive a single request:
   pair and kept warm so repeat queries hit the region cache and edits
   pay incremental — not from-scratch — recomputation,
 * a :class:`~repro.daemon.shm.SharedCircuitPool` publishing each
-  circuit version to shared memory once (when enabled and available);
-  every engine gets the pool's invalidation listener registered, so an
+  circuit version to shared memory once (where available); every
+  engine gets the pool's invalidation listener registered, so an
   applied edit retires the shared segment before any worker could read
   a stale netlist,
-* a persistent **worker pool** (``concurrent.futures``
-  ``ProcessPoolExecutor``) that ``sweep`` fans cone chunks across —
-  with shared memory on, chunk payloads carry a
-  :class:`~repro.daemon.shm.CircuitRef` instead of a pickled netlist,
+* a :class:`~repro.service.executor.ParallelExecutor` that ``sweep``
+  runs through: its persistent worker pool receives chunks carrying a
+  :class:`~repro.daemon.shm.CircuitRef` into that shared-memory pool,
+  and it recomputes in-process whatever a dead worker lost,
 * the :class:`~repro.daemon.admission.AdmissionController` and a
   :class:`~repro.service.metrics.MetricsRegistry` observing per-op
   latency histograms (``daemon.<op>_seconds``) that the ``stats`` op
@@ -31,8 +31,6 @@ loop at all.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import threading
 import time
 from dataclasses import dataclass
@@ -50,7 +48,7 @@ from ..incremental.edits import (
     edit_from_dict,
 )
 from ..incremental.engine import IncrementalEngine
-from ..service.executor import _chunk_entry, pairs_in_chain_dict
+from ..service.executor import ExecutorConfig, ParallelExecutor
 from ..service.hashing import circuit_fingerprint
 from ..service.metrics import MetricsRegistry
 from .admission import AdmissionController
@@ -78,19 +76,13 @@ class ServiceConfig:
     jobs: int = 1
     backend: str = DEFAULT_BACKEND
     kernels: str = "python"
-    use_shared_memory: bool = True
     max_in_flight: int = 16
     tenant_rate: float = 50.0
     tenant_burst: float = 20.0
-    chunk_size: int = 4
 
     def __post_init__(self) -> None:
         if self.jobs <= 0:
             raise ValueError(f"jobs must be a positive integer, got {self.jobs}")
-        if self.chunk_size <= 0:
-            raise ValueError(
-                f"chunk_size must be a positive integer, got {self.chunk_size}"
-            )
         validate_backend(self.backend)
         validate_kernels(self.kernels)
 
@@ -252,43 +244,31 @@ class DaemonService:
         self._closed = False
         self.shutdown_requested = threading.Event()
 
-        self._shm_enabled = (
-            self.config.use_shared_memory and shared_memory_available()
+        self._pool = (
+            SharedCircuitPool(self.metrics)
+            if shared_memory_available()
+            else None
         )
-        self._pool = SharedCircuitPool(self.metrics) if self._shm_enabled else None
-        self._workers: Optional[concurrent.futures.Executor] = None
+        self._executor = ParallelExecutor(
+            ExecutorConfig(
+                jobs=self.config.jobs,
+                backend=self.config.backend,
+                kernels=self.config.kernels,
+            ),
+            metrics=self.metrics,
+            shm=self._pool,
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _worker_pool(self) -> Optional[concurrent.futures.Executor]:
-        """The persistent process pool (created on first sweep)."""
-        if self.config.jobs <= 1:
-            return None
-        with self._lock:
-            if self._workers is None:
-                try:
-                    context = multiprocessing.get_context("fork")
-                except ValueError:  # pragma: no cover - non-fork platform
-                    context = multiprocessing.get_context()
-                try:
-                    self._workers = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=self.config.jobs, mp_context=context
-                    )
-                except (ImportError, OSError):  # pragma: no cover
-                    self.metrics.inc("daemon.pool_fallbacks")
-                    self._workers = None
-            return self._workers
-
     def close(self) -> None:
         """Tear down workers and unlink every shared-memory segment."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            workers, self._workers = self._workers, None
-        if workers is not None:
-            workers.shutdown(wait=True)
+        self._executor.close()
         if self._pool is not None:
             self._pool.close()
 
@@ -491,76 +471,29 @@ class DaemonService:
             raise ProtocolError(
                 f"unknown outputs: {bad}", code=404, reason="unknown_output"
             )
-        cone_jobs = [(str(o), None) for o in outputs]
         start = time.perf_counter()
-        results, dispatch = self._run_cone_jobs(key, circuit, cone_jobs)
+        results = self._executor.sweep_circuit(
+            circuit, outputs=[str(o) for o in outputs], circuit_key=key
+        )
         wall = time.perf_counter() - start
         cones = [
             {
-                "output": output,
-                "chains": len(chains),
-                "pairs": sum(
-                    pairs_in_chain_dict(c) for c in chains.values()
-                ),
-                "wall": cone_wall,
+                "output": result.output,
+                "chains": len(result.chains),
+                "pairs": result.num_pairs,
+                "wall": result.wall,
             }
-            for output, chains, cone_wall in results
+            for result in results
         ]
+        parallel = any(result.source == "parallel" for result in results)
         return {
             "circuit": key,
             "version": self._versions[key],
-            "dispatch": dispatch,
+            "dispatch": "shm" if parallel else "inline",
             "wall": wall,
             "cones": cones,
             "total_pairs": sum(c["pairs"] for c in cones),
         }
-
-    def _run_cone_jobs(self, key: str, circuit: Circuit, cone_jobs):
-        """Run cone jobs on the worker pool; returns (results, dispatch).
-
-        Results keep submission order: ``[(output, chains, wall), ...]``.
-        """
-        workers = self._worker_pool()
-        if workers is None or len(cone_jobs) <= 1:
-            results, snapshot = _chunk_entry(
-                (circuit, cone_jobs, self.config.backend, self.config.kernels)
-            )
-            self.metrics.merge_snapshot(snapshot)
-            return results, "inline"
-
-        payload_circuit: Any = circuit
-        dispatch = "pickle"
-        if self._pool is not None:
-            try:
-                payload_circuit = self._pool.publish(circuit, key)
-                dispatch = "shm"
-            except SharedMemoryUnavailable:
-                payload_circuit = circuit
-        size = self.config.chunk_size
-        chunks = [
-            cone_jobs[i : i + size] for i in range(0, len(cone_jobs), size)
-        ]
-        futures = [
-            workers.submit(
-                _chunk_entry,
-                (payload_circuit, chunk, self.config.backend, self.config.kernels),
-            )
-            for chunk in chunks
-        ]
-        results = []
-        for chunk, future in zip(chunks, futures):
-            try:
-                chunk_results, snapshot = future.result()
-            except Exception:
-                # A dead worker must not kill the request: recompute the
-                # chunk inline.
-                self.metrics.inc("daemon.worker_failures")
-                chunk_results, snapshot = _chunk_entry(
-                    (circuit, chunk, self.config.backend, self.config.kernels)
-                )
-            self.metrics.merge_snapshot(snapshot)
-            results.extend(chunk_results)
-        return results, dispatch
 
     def _op_edit(self, params: Dict[str, Any]) -> Dict[str, Any]:
         key, circuit = self._resolve_circuit(params)

@@ -1,11 +1,11 @@
 """Shared-memory circuit publication (:class:`SharedCircuitPool`).
 
-The per-chunk cost of the :class:`~repro.service.executor.ParallelExecutor`
-is dominated, for large netlists, by shipping the circuit: every chunk
-pickles the whole :class:`~repro.graph.circuit.Circuit` into the task
-payload, and every worker unpickles it again per chunk.  This module
-publishes each circuit **version** into one
-:mod:`multiprocessing.shared_memory` segment instead:
+Shipping the circuit would dominate the per-chunk cost of a parallel
+sweep of a large netlist if every chunk pickled the whole
+:class:`~repro.graph.circuit.Circuit` into its task payload.  The
+:class:`~repro.service.executor.ParallelExecutor` dispatches through
+this module instead, which publishes each circuit **version** into one
+:mod:`multiprocessing.shared_memory` segment:
 
 * the segment holds the circuit's arrays
   (:class:`~repro.graph.circuit.CircuitArrays`) in a compact,
@@ -23,18 +23,19 @@ publishes each circuit **version** into one
   :meth:`repro.incremental.IncrementalEngine.add_edit_listener` through
   :meth:`SharedCircuitPool.listener_for`.
 
-Decoded circuits are **bit-compatible** with pickled ones: both carry
-the publisher's arrays, ids included, so every downstream vertex
-numbering (cone extraction, chain vertex ids) matches exactly — the
-equivalence tests compare the two dispatch modes result-for-result.
+Decoded circuits are **bit-compatible** with the publisher's: they carry
+its arrays, ids included, so every downstream vertex numbering (cone
+extraction, chain vertex ids) matches exactly — the equivalence tests
+compare pooled sweeps with in-process ones result-for-result.
 
 On platforms without ``multiprocessing.shared_memory`` (or without
-``/dev/shm``) the pool reports itself unavailable and callers fall back
-to pickled dispatch.
+``/dev/shm``) publishing raises and the executor runs the sweep
+in-process.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -55,6 +56,9 @@ from .. import errors as _errors
 _MAGIC = b"RPC2"
 _TYPES = {node_type.value: node_type for node_type in NodeType}
 _LEN = struct.Struct("<Q")
+#: Segment serial numbers, unique per process: two pools publishing the
+#: same circuit version must not collide on a segment name.
+_SERIALS = itertools.count(1)
 
 
 class SharedMemoryUnavailable(_errors.ReproError):
@@ -234,8 +238,8 @@ def attached_segments() -> List[str]:
 class SharedCircuitPool:
     """Publishes circuit versions to shared memory, exactly once each.
 
-    One pool lives in the dispatching process (the daemon, or a
-    shared-memory-enabled executor).  ``publish`` is idempotent per
+    One pool lives in the dispatching process (the daemon's, or an
+    executor's own).  ``publish`` is idempotent per
     ``(key, version)``; ``invalidate`` retires the current version so
     the next ``publish`` creates a fresh segment under a new name.
     Unlinking is safe while workers are still attached (POSIX keeps the
@@ -299,7 +303,8 @@ class SharedCircuitPool:
             self._versions[key] = version
             payload = encode_circuit(circuit)
             self._counter += 1
-            name = f"rpro_{key[:8]}_{version}_{os.getpid()}_{self._counter}"
+            serial = next(_SERIALS)
+            name = f"rpro_{key[:8]}_{version}_{os.getpid()}_{serial}"
             shm = shared_memory.SharedMemory(
                 create=True, size=len(payload), name=name
             )

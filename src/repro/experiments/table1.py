@@ -116,12 +116,12 @@ def measure_circuit(
         from ..core.chain import DominatorChain
         from ..service import ExecutorConfig, ParallelExecutor
 
-        executor = ParallelExecutor(
+        with ParallelExecutor(
             ExecutorConfig(jobs=jobs, backend=backend)
-        )
-        t_start = time.perf_counter()
-        cone_results = executor.sweep_circuit(circuit)
-        t2 = time.perf_counter() - t_start
+        ) as executor:
+            t_start = time.perf_counter()
+            cone_results = executor.sweep_circuit(circuit)
+            t2 = time.perf_counter() - t_start
         for graph, result in zip(cones, cone_results):
             union = set()
             per_target = {}

@@ -12,9 +12,9 @@ chain computation into a schedulable, observable workload:
 * :mod:`~repro.service.artifacts` — an on-disk store of computed chains
   keyed by circuit hash + output cone, with versioned invalidation,
 * :mod:`~repro.service.jobs` — request deduplication and batching,
-* :mod:`~repro.service.executor` — the :class:`ParallelExecutor` worker
-  pool with chunked dispatch, per-chunk timeouts and in-process
-  fallback.
+* :mod:`~repro.service.executor` — the :class:`ParallelExecutor`, the
+  one worker pool: shared-memory dispatch of cone chunks, per-chunk
+  timeouts and one in-process recovery policy.
 
 The CLI surface is ``python -m repro sweep`` (parallel suite sweep) and
 ``python -m repro serve-batch`` (JSON request/response batches); see

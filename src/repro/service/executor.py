@@ -2,20 +2,22 @@
 
 Each output cone of a circuit is an independent single-root DAG, so the
 Table-1 workload parallelises across cones with zero shared state.  The
-executor fans per-cone DOMINATORCHAIN jobs across a
-:mod:`multiprocessing` pool:
+executor fans per-cone DOMINATORCHAIN jobs across one persistent
+:class:`concurrent.futures.ProcessPoolExecutor` (fork where available),
+created on the first parallel sweep, shared by concurrent callers and
+shut down by :meth:`ParallelExecutor.close`:
 
-* **chunked dispatch** — cones are grouped into chunks that share one
-  pickled copy of their circuit, amortising serialisation over the
-  chunk (a circuit with 100 outputs ships once, not 100 times);
-* **per-chunk timeouts** — a chunk that exceeds its deadline is
-  abandoned in the pool and recomputed in-process, so one pathological
-  cone cannot wedge a sweep;
-* **graceful fallback** — ``jobs <= 1``, a platform without working
-  ``multiprocessing`` primitives, or a pool-level failure all degrade
-  to plain in-process execution with identical results;
-* **one set of arrays per netlist** — under the production
-  configuration every cone of a chunk is a
+* **shared-memory dispatch** — each circuit version is published once
+  through :class:`~repro.daemon.shm.SharedCircuitPool`; chunks of cones
+  carry a :class:`~repro.daemon.shm.CircuitRef` that workers attach and
+  decode once.  Where shared memory is unavailable the sweep runs
+  in-process;
+* **one recovery policy** — a chunk that raises, passes its deadline
+  (``timeout * len(chunk)``) or loses its worker is recomputed
+  in-process, so one pathological cone cannot wedge a sweep; on a
+  deadline or a worker death the pool is retired (its workers are
+  terminated) and the next parallel sweep forks a fresh one;
+* **one set of arrays per netlist** — every cone of a chunk is a
   :class:`~repro.dominators.shared.ConeView` of one
   :class:`~repro.dominators.shared.CircuitScratch`: no per-cone graph
   copy, index or tree object, and each ``(entry, sink)`` region record
@@ -33,8 +35,11 @@ visible in the final export.
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -160,23 +165,19 @@ def pairs_in_chain_dict(chain_dict: Dict[str, object]) -> int:
 def _process_chunk(payload):
     """Worker entry: compute every cone job of one chunk.
 
-    ``payload`` is ``(circuit, cone_jobs, backend[, kernels])`` — the
-    trailing slot may be omitted by older callers — where the
-    circuit slot is either a pickled :class:`Circuit` or a
-    :class:`~repro.daemon.shm.CircuitRef` into a published
+    ``payload`` is ``(ref, cone_jobs, backend, kernels)``, where ``ref``
+    is the :class:`~repro.daemon.shm.CircuitRef` of a published
     shared-memory segment (resolved through the worker-local attach
     cache, so repeated chunks for one circuit version decode it once).
     The return value is
     ``([(output, chains, wall_seconds), ...], metrics_snapshot)``.
     """
-    circuit, cone_jobs, backend, *rest = payload
-    kernels = rest[0] if rest else "python"
-    registry = MetricsRegistry()
-    if not isinstance(circuit, Circuit):
-        from ..daemon.shm import attach_circuit
+    from ..daemon.shm import attach_circuit
 
-        circuit = attach_circuit(circuit)
-        registry.inc("executor.shm_attaches")
+    ref, cone_jobs, backend, kernels = payload
+    registry = MetricsRegistry()
+    circuit = attach_circuit(ref)
+    registry.inc("executor.shm_attaches")
     results = []
     for output, chains, wall in _cone_chains(
         circuit, cone_jobs, registry, backend, kernels
@@ -212,11 +213,7 @@ class ExecutorConfig:
     chunk_size:
         Cones per dispatched chunk; ``None`` picks
         ``ceil(n_cones / (4 * jobs))`` so each worker sees ~4 chunks
-        (good balance between pickling overhead and tail latency).
-    start_method:
-        ``multiprocessing`` start method; ``None`` prefers ``fork``
-        where available (cheap on Linux) and falls back to the platform
-        default.
+        (good balance between per-chunk overhead and tail latency).
     backend:
         Chain-construction backend used by every cone job
         (``"linear"`` default, ``"shared"`` max-flow, ``"legacy"`` for
@@ -227,22 +224,12 @@ class ExecutorConfig:
         (default) or ``"numpy"`` (flat-array kernels from
         :mod:`repro.dominators.kernels`; identical chains).  Part of
         the artifact-store key — cached sweeps never mix kernels.
-    shared_circuits:
-        Publish each circuit to a :mod:`multiprocessing.shared_memory`
-        segment once (via :class:`repro.daemon.shm.SharedCircuitPool`)
-        and ship workers a tiny ref per chunk instead of pickling the
-        netlist into every task payload.  Falls back to pickled
-        dispatch when shared memory is unavailable.  Call
-        :meth:`ParallelExecutor.close` (or use the executor as a
-        context manager) to unlink the segments.
     """
 
     jobs: int = 1
     timeout: Optional[float] = None
     chunk_size: Optional[int] = None
-    start_method: Optional[str] = None
     backend: str = DEFAULT_BACKEND
-    shared_circuits: bool = False
     kernels: str = "python"
 
     def __post_init__(self) -> None:
@@ -321,6 +308,34 @@ class SweepReport:
         }
 
 
+def _fork_context():
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform without fork
+        return multiprocessing.get_context()
+
+
+def _healthy(workers: concurrent.futures.ProcessPoolExecutor) -> bool:
+    """Whether no worker of the pool has died since the last sweep."""
+    processes = list((workers._processes or {}).values())
+    return not workers._broken and all(p.is_alive() for p in processes)
+
+
+def _terminate(workers: concurrent.futures.ProcessPoolExecutor) -> None:
+    """Shut a pool down without waiting for its tasks; reap its workers.
+
+    What Python 3.14's ``terminate_workers()`` does, on every version
+    from 3.9: the pool's process table is the only handle on a worker
+    stuck in a chunk.
+    """
+    processes = list((workers._processes or {}).values())
+    workers.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.join(5.0)
+
+
 class ParallelExecutor:
     """Fans per-cone dominator-chain jobs across a process pool.
 
@@ -335,6 +350,13 @@ class ParallelExecutor:
         Optional :class:`~repro.service.artifacts.ArtifactStore`;
         when present, cones already stored under the circuit's current
         version are served from disk and fresh results are persisted.
+    shm:
+        The :class:`~repro.daemon.shm.SharedCircuitPool` that parallel
+        sweeps publish circuits through, keyed by ``circuit_key``.  The
+        caller keeps ownership (the daemon passes the pool its engines'
+        edit listeners retire segments of).  ``None`` makes the
+        executor publish through a pool of its own, created on the
+        first parallel sweep and unlinked by :meth:`close`.
     """
 
     def __init__(
@@ -342,17 +364,27 @@ class ParallelExecutor:
         config: Optional[ExecutorConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         store: Optional[ArtifactStore] = None,
+        shm=None,
     ) -> None:
         self.config = config or ExecutorConfig()
         self.metrics = metrics or MetricsRegistry()
         self.store = store
-        self._shm_pool = None
+        self._shm = shm
+        self._owns_shm = shm is None
+        self._workers: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
 
     def close(self) -> None:
-        """Unlink any shared-memory segments this executor published."""
-        if self._shm_pool is not None:
-            self._shm_pool.close()
-            self._shm_pool = None
+        """Shut the worker pool down and unlink the segments it owns."""
+        with self._lock:
+            workers, self._workers = self._workers, None
+            shm = self._shm if self._owns_shm else None
+            if self._owns_shm:
+                self._shm = None
+        if workers is not None:
+            workers.shutdown(wait=True)
+        if shm is not None:
+            shm.close()
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -360,25 +392,56 @@ class ParallelExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _shared_payload(self, circuit: Circuit):
-        """The circuit slot of chunk payloads: a shm ref, or the circuit.
+    def _publish(self, circuit: Circuit, key: Optional[str]):
+        """The :class:`~repro.daemon.shm.CircuitRef` chunks carry.
 
-        Publishing happens once per circuit version; any shared-memory
-        failure degrades to pickled dispatch (counted, never fatal).
+        Publishing happens once per circuit version; ``None`` where
+        shared memory is unavailable (counted, never fatal).
         """
-        if not self.config.shared_circuits:
-            return circuit
         from ..daemon.shm import SharedCircuitPool, SharedMemoryUnavailable
 
+        with self._lock:
+            if self._shm is None:
+                self._shm = SharedCircuitPool(self.metrics)
+            shm = self._shm
         try:
-            if self._shm_pool is None:
-                self._shm_pool = SharedCircuitPool(self.metrics)
-            return self._shm_pool.publish(
-                circuit, circuit_fingerprint(circuit)
-            )
-        except SharedMemoryUnavailable:
+            return shm.publish(circuit, key or circuit_fingerprint(circuit))
+        except (SharedMemoryUnavailable, OSError):
             self.metrics.inc("executor.shm_fallbacks")
-            return circuit
+            return None
+
+    def _pool(self) -> Optional[concurrent.futures.ProcessPoolExecutor]:
+        """The persistent worker pool, forked on first use.
+
+        A pool that lost a worker since the last sweep is retired first,
+        so the sweep runs on a fresh one.  ``None`` when this platform
+        cannot create a pool at all.
+        """
+        workers = self._workers
+        if workers is not None and not _healthy(workers):
+            self._retire(workers)
+        with self._lock:
+            if self._workers is None:
+                try:
+                    self._workers = concurrent.futures.ProcessPoolExecutor(
+                        max_workers=self.config.jobs,
+                        mp_context=_fork_context(),
+                    )
+                except (ImportError, NotImplementedError, OSError):
+                    # No usable multiprocessing on this platform (e.g.
+                    # missing POSIX semaphores).
+                    self.metrics.inc("executor.pool_fallbacks")
+                    return None
+            return self._workers
+
+    def _retire(self, workers: concurrent.futures.ProcessPoolExecutor) -> None:
+        """Terminate a pool that timed out or lost a worker, once."""
+        with self._lock:
+            if self._workers is not workers:
+                return
+            self._workers = None
+        self.metrics.inc("executor.pools_retired")
+        _terminate(workers)
 
     # ------------------------------------------------------------------
     # public API
@@ -424,7 +487,8 @@ class ParallelExecutor:
                 pending.append((output, targets))
         self.metrics.inc("executor.jobs_submitted", len(pending))
 
-        for output, chains, wall, source in self._execute(circuit, pending):
+        executed = self._execute(circuit, pending, key)
+        for output, chains, wall, source in executed:
             results[output] = ConeResult(output, chains, wall, source)
             targets = targets_by_output.get(output)
             if self.store is not None and targets is None:
@@ -465,65 +529,56 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _execute(self, circuit: Circuit, cone_jobs: List[ConeJob]):
+    def _execute(
+        self, circuit: Circuit, cone_jobs: List[ConeJob], key: Optional[str]
+    ):
         """Yield ``(output, chains, wall, source)`` in submission order."""
         if not cone_jobs:
             return
         if self.config.jobs <= 1 or len(cone_jobs) == 1:
             yield from self._run_inprocess(circuit, cone_jobs)
             return
-
-        chunks = self._chunk(cone_jobs)
-        try:
-            context = self._context()
-            pool = context.Pool(processes=min(self.config.jobs, len(chunks)))
-        except (ImportError, OSError, ValueError):
-            # No usable multiprocessing on this platform (e.g. missing
-            # POSIX semaphores): serve everything in-process.
-            self.metrics.inc("executor.pool_fallbacks")
+        ref = self._publish(circuit, key)
+        workers = self._pool() if ref is not None else None
+        if workers is None:
             yield from self._run_inprocess(circuit, cone_jobs)
             return
 
-        payload_circuit = self._shared_payload(circuit)
-        try:
-            handles = [
-                pool.apply_async(
-                    _chunk_entry,
-                    (
-                        (
-                            payload_circuit,
-                            chunk,
-                            self.config.backend,
-                            self.config.kernels,
-                        ),
-                    ),
-                )
-                for chunk in chunks
-            ]
-            self.metrics.inc("executor.chunks", len(chunks))
-            for chunk, handle in zip(chunks, handles):
-                deadline = (
-                    self.config.timeout * len(chunk)
-                    if self.config.timeout is not None
-                    else None
-                )
-                try:
-                    chunk_results, snapshot = handle.get(deadline)
-                except multiprocessing.TimeoutError:
-                    self.metrics.inc("executor.timeouts")
-                    yield from self._run_inprocess(circuit, chunk)
-                    continue
-                except Exception:
-                    self.metrics.inc("executor.failures")
-                    yield from self._run_inprocess(circuit, chunk)
-                    continue
+        chunks = self._chunk(cone_jobs)
+        futures = []
+        for chunk in chunks:
+            payload = (ref, chunk, self.config.backend, self.config.kernels)
+            try:
+                futures.append(workers.submit(_chunk_entry, payload))
+            except RuntimeError:  # broken, or retired by another caller
+                futures.append(None)
+        self.metrics.inc("executor.chunks", len(chunks))
+        for chunk, future in zip(chunks, futures):
+            deadline = (
+                self.config.timeout * len(chunk)
+                if self.config.timeout is not None
+                else None
+            )
+            try:
+                if future is None:
+                    raise BrokenProcessPool("pool unusable at submit")
+                chunk_results, snapshot = future.result(deadline)
+            except concurrent.futures.TimeoutError:
+                self.metrics.inc("executor.timeouts")
+                self._retire(workers)
+            except (BrokenProcessPool, concurrent.futures.CancelledError):
+                # A worker died, or another caller retired the pool.
+                self.metrics.inc("executor.failures")
+                self._retire(workers)
+            except Exception:
+                self.metrics.inc("executor.failures")
+            else:
                 self.metrics.merge_snapshot(snapshot)
                 self.metrics.inc("executor.jobs_parallel", len(chunk))
                 for output, chains, wall in chunk_results:
                     yield output, chains, wall, "parallel"
-        finally:
-            pool.terminate()
-            pool.join()
+                continue
+            yield from self._run_inprocess(circuit, chunk)
 
     def _run_inprocess(self, circuit: Circuit, cone_jobs: List[ConeJob]):
         for output, chains, wall in _cone_chains(
@@ -544,15 +599,6 @@ class ParallelExecutor:
         return [
             cone_jobs[i : i + size] for i in range(0, len(cone_jobs), size)
         ]
-
-    def _context(self):
-        method = self.config.start_method
-        if method is not None:
-            return multiprocessing.get_context(method)
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return multiprocessing.get_context()
 
 
 def sweep_suite(

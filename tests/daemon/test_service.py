@@ -1,7 +1,10 @@
 """DaemonService end-to-end: all six operations through ``handle``."""
 
+import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -46,6 +49,13 @@ def _request(op, params=None, request_id="r1", tenant="default"):
             "params": params or {},
         }
     )
+
+
+def _cones(response):
+    return [
+        (c["output"], c["chains"], c["pairs"])
+        for c in response["result"]["cones"]
+    ]
 
 
 def _load(service, circuit, tenant="default"):
@@ -162,7 +172,7 @@ class TestSweepAndEdit:
         with DaemonService(ServiceConfig(jobs=1)) as inline_svc:
             key = _load(inline_svc, circuit)
             inline = inline_svc.handle(_request("sweep", {"circuit": key}))
-        with DaemonService(ServiceConfig(jobs=2, chunk_size=1)) as mp_svc:
+        with DaemonService(ServiceConfig(jobs=2)) as mp_svc:
             key = _load(mp_svc, circuit)
             mp = mp_svc.handle(_request("sweep", {"circuit": key}))
         assert inline["ok"] and mp["ok"]
@@ -175,18 +185,52 @@ class TestSweepAndEdit:
             for c in inline["result"]["cones"]
         ]
 
-    def test_mp_pickle_sweep_matches_inline(self, circuit):
+    def test_sweep_without_shared_memory_runs_inline(
+        self, circuit, monkeypatch
+    ):
+        from repro.daemon.shm import SharedCircuitPool, SharedMemoryUnavailable
+
         with DaemonService(ServiceConfig(jobs=1)) as inline_svc:
             key = _load(inline_svc, circuit)
             inline = inline_svc.handle(_request("sweep", {"circuit": key}))
-        config = ServiceConfig(jobs=2, chunk_size=1, use_shared_memory=False)
-        with DaemonService(config) as mp_svc:
+
+        def unavailable(self, circuit, key):
+            raise SharedMemoryUnavailable("no /dev/shm")
+
+        monkeypatch.setattr(SharedCircuitPool, "publish", unavailable)
+        with DaemonService(ServiceConfig(jobs=2)) as mp_svc:
             key = _load(mp_svc, circuit)
             mp = mp_svc.handle(_request("sweep", {"circuit": key}))
-        assert mp["result"]["dispatch"] == "pickle"
-        assert [c["pairs"] for c in mp["result"]["cones"]] == [
-            c["pairs"] for c in inline["result"]["cones"]
-        ]
+            counters = mp_svc.metrics.snapshot()["counters"]
+        assert mp["ok"], mp
+        assert mp["result"]["dispatch"] == "inline"
+        assert counters["executor.shm_fallbacks"] == 1
+        assert _cones(mp) == _cones(inline)
+
+    @needs_shm
+    def test_sweep_recovers_after_workers_are_killed(self, circuit):
+        with DaemonService(ServiceConfig(jobs=1)) as inline_svc:
+            key = _load(inline_svc, circuit)
+            inline = inline_svc.handle(_request("sweep", {"circuit": key}))
+        children = set(multiprocessing.active_children())
+        with DaemonService(ServiceConfig(jobs=2)) as svc:
+            key = _load(svc, circuit)
+            first = svc.handle(_request("sweep", {"circuit": key}))
+            assert first["ok"] and first["result"]["dispatch"] == "shm"
+            workers = set(multiprocessing.active_children()) - children
+            assert workers
+            for process in workers:
+                os.kill(process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while any(p.is_alive() for p in workers):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            second = svc.handle(_request("sweep", {"circuit": key}))
+            counters = svc.metrics.snapshot()["counters"]
+        assert second["ok"], second
+        assert second["result"]["dispatch"] == "shm"
+        assert _cones(second) == _cones(inline)
+        assert counters["executor.pools_retired"] == 1
 
     def test_edit_bumps_version_and_updates_chains(self, service, circuit):
         key = _load(service, circuit)
@@ -361,6 +405,15 @@ class TestDynamicEngine:
         # One engine, no selector; a config that still names one fails.
         with pytest.raises(TypeError):
             ServiceConfig(engine="patch")
+
+    @pytest.mark.parametrize(
+        "option", [{"use_shared_memory": False}, {"chunk_size": 4}]
+    )
+    def test_config_rejects_removed_dispatch_options(self, option):
+        # Shared memory is the one dispatch and the executor's chunk
+        # rule the one rule; a config still setting either fails.
+        with pytest.raises(TypeError):
+            ServiceConfig(**option)
 
     def test_edits_serve_identical_chains(self, circuit):
         with DaemonService(ServiceConfig()) as svc:

@@ -56,10 +56,10 @@ def _sequential(circuit):
 @settings(**_SETTINGS)
 def test_parallel_sweep_identical_to_sequential(circuit):
     circuit = _widen(circuit)
-    executor = ParallelExecutor(ExecutorConfig(jobs=2, chunk_size=1))
-    parallel = {
-        r.output: r.chains for r in executor.sweep_circuit(circuit)
-    }
+    with ParallelExecutor(ExecutorConfig(jobs=2, chunk_size=1)) as executor:
+        parallel = {
+            r.output: r.chains for r in executor.sweep_circuit(circuit)
+        }
     assert parallel == _sequential(circuit)
 
 
@@ -80,8 +80,9 @@ def test_pair_sets_match_vector_for_vector(circuit):
     from repro.core.chain import DominatorChain
 
     circuit = _widen(circuit)
-    executor = ParallelExecutor(ExecutorConfig(jobs=2))
-    for result in executor.sweep_circuit(circuit):
+    with ParallelExecutor(ExecutorConfig(jobs=2)) as executor:
+        results = executor.sweep_circuit(circuit)
+    for result in results:
         graph = IndexedGraph.from_circuit(circuit, result.output)
         computer = ChainComputer(graph)
         for name, chain_dict in result.chains.items():

@@ -1,12 +1,15 @@
-"""Tests for the parallel executor: equivalence, fallbacks, metrics.
+"""Tests for the parallel executor: equivalence, recovery, metrics.
 
 The timeout/failure tests monkeypatch the module-level
-``_process_chunk`` body; the executor's pool is created *after* the
-patch and uses the fork start method on Linux, so worker processes
-inherit the patched function through ``_chunk_entry``.
+``_process_chunk`` body; the executor's pool is forked on its first
+parallel sweep, *after* the patch, so worker processes inherit the
+patched function through ``_chunk_entry``.
 """
 
+import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -47,10 +50,10 @@ class TestEquivalence:
     def test_parallel_matches_sequential_chaincomputer(self, name):
         circuit = table1_suite()[name].circuit(SCALE)
         reference = sequential_reference(circuit)
-        ex = ParallelExecutor(ExecutorConfig(jobs=2))
-        results = {
-            r.output: r.chains for r in ex.sweep_circuit(circuit)
-        }
+        with ParallelExecutor(ExecutorConfig(jobs=2)) as ex:
+            results = {
+                r.output: r.chains for r in ex.sweep_circuit(circuit)
+            }
         assert results == reference
 
     def test_single_job_runs_in_process(self):
@@ -82,13 +85,13 @@ class TestFallbacks:
         circuit = table1_suite()["alu2"].circuit(SCALE)
         reference = sequential_reference(circuit)
         metrics = MetricsRegistry()
-        ex = ParallelExecutor(ExecutorConfig(jobs=2), metrics=metrics)
 
         def broken_context():
             raise OSError("no semaphores on this platform")
 
-        monkeypatch.setattr(ex, "_context", broken_context)
-        results = {r.output: r.chains for r in ex.sweep_circuit(circuit)}
+        monkeypatch.setattr(executor_mod, "_fork_context", broken_context)
+        with ParallelExecutor(ExecutorConfig(jobs=2), metrics=metrics) as ex:
+            results = {r.output: r.chains for r in ex.sweep_circuit(circuit)}
         assert results == reference
         snap = metrics.snapshot()["counters"]
         assert snap["executor.pool_fallbacks"] == 1
@@ -103,15 +106,19 @@ class TestFallbacks:
 
         monkeypatch.setattr(executor_mod, "_process_chunk", exploding_chunk)
         metrics = MetricsRegistry()
-        ex = ParallelExecutor(ExecutorConfig(jobs=2), metrics=metrics)
-        results = {r.output: r.chains for r in ex.sweep_circuit(circuit)}
+        with ParallelExecutor(ExecutorConfig(jobs=2), metrics=metrics) as ex:
+            results = {
+                r.output: r.chains for r in ex.sweep_circuit(circuit)
+            }
+            assert all(
+                r.source == "inprocess" for r in ex.sweep_circuit(circuit)
+            )
         assert results == reference
         snap = metrics.snapshot()["counters"]
         assert snap["executor.failures"] >= 1
-        assert snap["executor.jobs_inprocess"] == len(circuit.outputs)
-        assert all(
-            r.source == "inprocess" for r in ex.sweep_circuit(circuit)
-        )
+        assert snap["executor.jobs_inprocess"] == 2 * len(circuit.outputs)
+        # A chunk that raises leaves its worker alive: the pool is kept.
+        assert "executor.pools_retired" not in snap
 
     def test_timeout_falls_back_in_process(self, monkeypatch):
         circuit = table1_suite()["alu2"].circuit(SCALE)
@@ -124,15 +131,121 @@ class TestFallbacks:
 
         monkeypatch.setattr(executor_mod, "_process_chunk", slow_chunk)
         metrics = MetricsRegistry()
-        ex = ParallelExecutor(
+        with ParallelExecutor(
             ExecutorConfig(jobs=2, timeout=0.05), metrics=metrics
-        )
-        start = time.perf_counter()
-        results = {r.output: r.chains for r in ex.sweep_circuit(circuit)}
-        elapsed = time.perf_counter() - start
+        ) as ex:
+            start = time.perf_counter()
+            results = {
+                r.output: r.chains for r in ex.sweep_circuit(circuit)
+            }
+            elapsed = time.perf_counter() - start
         assert results == reference
         assert metrics.snapshot()["counters"]["executor.timeouts"] >= 1
         assert elapsed < 5.0  # did not wait for the slow workers
+
+
+def _own_segments():
+    """This process's published segments (``rpro_<key>_<v>_<pid>_<n>``)."""
+    if not os.path.isdir("/dev/shm"):
+        return []
+    pid = str(os.getpid())
+    return [
+        f
+        for f in os.listdir("/dev/shm")
+        if f.startswith("rpro_") and f.split("_")[-2] == pid
+    ]
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _needs_shm():
+    from repro.daemon.shm import shared_memory_available
+
+    if not shared_memory_available():
+        pytest.skip("no shared memory on this platform")
+
+
+class TestRecovery:
+    """One policy: a chunk that raises, times out or loses its worker is
+    recomputed in-process; a timeout or a dead worker retires the pool."""
+
+    def test_worker_death_without_timeout_recomputes_in_process(
+        self, monkeypatch
+    ):
+        _needs_shm()
+        circuit = table1_suite()["alu2"].circuit(SCALE)
+        with ParallelExecutor(ExecutorConfig(jobs=1)) as ex:
+            reference = [(r.output, r.chains) for r in ex.sweep_circuit(circuit)]
+        parent = os.getpid()
+
+        def killing_chunk(payload):
+            if os.getpid() != parent:  # never the test process itself
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(executor_mod, "_process_chunk", killing_chunk)
+        metrics = MetricsRegistry()
+        outcome = {}
+
+        def sweep():
+            with ParallelExecutor(
+                ExecutorConfig(jobs=2), metrics=metrics
+            ) as ex:
+                outcome["results"] = ex.sweep_circuit(circuit)
+
+        # No pytest-timeout here: a lost chunk would hang the sweep, so
+        # it runs in a thread the test waits on with a deadline.
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        thread.join(120)
+        assert not thread.is_alive(), "sweep hung after a worker died"
+        results = outcome["results"]
+        assert [(r.output, r.chains) for r in results] == reference
+        assert all(r.source == "inprocess" for r in results)
+        counters = metrics.snapshot()["counters"]
+        assert counters["executor.failures"] >= 1
+        assert counters["executor.pools_retired"] == 1
+
+    def test_timeout_retires_the_pool_and_its_workers(
+        self, monkeypatch, tmp_path
+    ):
+        _needs_shm()
+        circuit = table1_suite()["alu2"].circuit(SCALE)
+        reference = sequential_reference(circuit)
+        original = executor_mod._process_chunk
+
+        def stuck_chunk(payload):
+            (tmp_path / str(os.getpid())).touch()
+            time.sleep(60.0)
+            return original(payload)
+
+        monkeypatch.setattr(executor_mod, "_process_chunk", stuck_chunk)
+        metrics = MetricsRegistry()
+        children = set(multiprocessing.active_children())
+        # A deadline long enough for the fresh pool to start the chunk.
+        with ParallelExecutor(
+            ExecutorConfig(jobs=2, timeout=0.5), metrics=metrics
+        ) as ex:
+            results = {r.output: r.chains for r in ex.sweep_circuit(circuit)}
+            assert results == reference
+            counters = metrics.snapshot()["counters"]
+            assert counters["executor.timeouts"] >= 1
+            assert counters["executor.pools_retired"] == 1
+            # No worker of the retired pool is still alive.
+            stuck = [int(p.name) for p in tmp_path.iterdir()]
+            assert stuck
+            assert not any(_alive(pid) for pid in stuck)
+            assert set(multiprocessing.active_children()) == children
+            # The next parallel sweep forks a fresh pool and uses it.
+            monkeypatch.setattr(executor_mod, "_process_chunk", original)
+            again = ex.sweep_circuit(circuit)
+        assert {r.output: r.chains for r in again} == reference
+        assert all(r.source == "parallel" for r in again)
 
 
 class TestArtifactsIntegration:
@@ -177,7 +290,8 @@ class TestMetricsSnapshot:
         ex = ParallelExecutor(
             ExecutorConfig(jobs=2), metrics=metrics, store=store
         )
-        report = sweep_suite(ex, names=NAMES, scale=SCALE)
+        with ex:
+            report = sweep_suite(ex, names=NAMES, scale=SCALE)
         cones = sum(c.cones for c in report.circuits)
         chains = sum(c.chains for c in report.circuits)
         snap = metrics.snapshot()
@@ -197,7 +311,8 @@ class TestMetricsSnapshot:
         assert counters["artifacts.writes"] == cones
         assert store.hit_ratio() == 0.0
         # warm sweep flips the ratio
-        report2 = sweep_suite(ex, names=NAMES, scale=SCALE)
+        with ex:
+            report2 = sweep_suite(ex, names=NAMES, scale=SCALE)
         assert metrics.counter("artifacts.hits").value == cones
         assert store.hit_ratio() == 0.5
         assert all(c.artifact_hits == c.cones for c in report2.circuits)
@@ -231,10 +346,10 @@ def test_four_job_sweep_is_at_least_twice_as_fast():
     def run(jobs):
         samples = []
         for _ in range(3):
-            ex = ParallelExecutor(ExecutorConfig(jobs=jobs))
-            start = time.perf_counter()
-            sweep_suite(ex, names=names, scale=0.8)
-            samples.append(time.perf_counter() - start)
+            with ParallelExecutor(ExecutorConfig(jobs=jobs)) as ex:
+                start = time.perf_counter()
+                sweep_suite(ex, names=names, scale=0.8)
+                samples.append(time.perf_counter() - start)
         return statistics.median(samples)
 
     sequential = run(1)
@@ -274,37 +389,27 @@ class TestConfigValidation:
 
 
 class TestSharedCircuits:
-    """``shared_circuits=True`` ships a shm ref instead of a pickled netlist."""
+    """Parallel sweeps ship a shm ref, never the netlist."""
 
     @pytest.mark.parametrize("name", ["alu2", "comp"])
-    def test_shm_sweep_bit_identical_to_pickle(self, name):
-        from repro.daemon.shm import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
+    def test_shm_sweep_bit_identical_to_inline(self, name):
+        _needs_shm()
         circuit = table1_suite()[name].circuit(SCALE)
-        with ParallelExecutor(
-            ExecutorConfig(jobs=2, shared_circuits=True)
-        ) as shm_ex:
-            shm_results = {
-                r.output: r.chains for r in shm_ex.sweep_circuit(circuit)
-            }
-        pickle_ex = ParallelExecutor(ExecutorConfig(jobs=2))
-        pickle_results = {
-            r.output: r.chains for r in pickle_ex.sweep_circuit(circuit)
-        }
-        assert shm_results == pickle_results
+        with ParallelExecutor(ExecutorConfig(jobs=2)) as shm_ex:
+            shm_results = shm_ex.sweep_circuit(circuit)
+        inline_results = ParallelExecutor(ExecutorConfig(jobs=1)).sweep_circuit(
+            circuit
+        )
+        assert all(r.source == "parallel" for r in shm_results)
+        assert [(r.output, r.chains) for r in shm_results] == [
+            (r.output, r.chains) for r in inline_results
+        ]
 
     def test_shm_publish_happens_once_per_circuit(self):
-        from repro.daemon.shm import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
+        _needs_shm()
         circuit = table1_suite()["alu2"].circuit(SCALE)
         metrics = MetricsRegistry()
-        with ParallelExecutor(
-            ExecutorConfig(jobs=2, shared_circuits=True), metrics=metrics
-        ) as ex:
+        with ParallelExecutor(ExecutorConfig(jobs=2), metrics=metrics) as ex:
             ex.sweep_circuit(circuit)
             ex.sweep_circuit(circuit)
         snapshot = metrics.snapshot()
@@ -312,18 +417,35 @@ class TestSharedCircuits:
         assert snapshot["counters"].get("executor.shm_attaches", 0) >= 1
 
     def test_close_unlinks_segments(self):
-        from repro.daemon.shm import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
+        _needs_shm()
         circuit = table1_suite()["comp"].circuit(SCALE)
-        ex = ParallelExecutor(ExecutorConfig(jobs=2, shared_circuits=True))
+        before = set(_own_segments())
+        ex = ParallelExecutor(ExecutorConfig(jobs=2))
         ex.sweep_circuit(circuit)
-        ex.close()
         if os.path.isdir("/dev/shm"):
-            assert [
-                f for f in os.listdir("/dev/shm") if f.startswith("rpro_")
-            ] == []
+            assert set(_own_segments()) > before
+        ex.close()
+        assert set(_own_segments()) <= before
+
+    def test_unavailable_shared_memory_runs_in_process(self, monkeypatch):
+        from repro.daemon.shm import SharedCircuitPool, SharedMemoryUnavailable
+
+        def unavailable(self, circuit, key):
+            raise SharedMemoryUnavailable("no /dev/shm")
+
+        monkeypatch.setattr(SharedCircuitPool, "publish", unavailable)
+        circuit = table1_suite()["alu2"].circuit(SCALE)
+        metrics = MetricsRegistry()
+        children = set(multiprocessing.active_children())
+        with ParallelExecutor(ExecutorConfig(jobs=2), metrics=metrics) as ex:
+            results = ex.sweep_circuit(circuit)
+            # No segment means no dispatch: no pool is forked either.
+            assert set(multiprocessing.active_children()) == children
+        assert all(r.source == "inprocess" for r in results)
+        assert {r.output: r.chains for r in results} == sequential_reference(
+            circuit
+        )
+        assert metrics.snapshot()["counters"]["executor.shm_fallbacks"] == 1
 
 
 class TestPrefilterConfig:
@@ -332,6 +454,13 @@ class TestPrefilterConfig:
         # pre-filter must fail loudly rather than be silently ignored.
         with pytest.raises(TypeError):
             ExecutorConfig(prefilter="biconn")
+
+    @pytest.mark.parametrize(
+        "option", [{"shared_circuits": True}, {"start_method": "spawn"}]
+    )
+    def test_removed_dispatch_options_rejected(self, option):
+        with pytest.raises(TypeError):
+            ExecutorConfig(**option)
 
 
 class TestSequentialSweep:

@@ -221,6 +221,32 @@ class TestSweep:
         assert main(["sweep", "--names", "nonesuch"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    def test_sweep_jobs_leaves_no_workers_or_segments(self, tmp_path, capsys):
+        import json
+        import multiprocessing
+        import os
+
+        def own_segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
+            pid = str(os.getpid())
+            return {
+                f
+                for f in os.listdir("/dev/shm")
+                if f.startswith("rpro_") and f.split("_")[-2] == pid
+            }
+
+        children = set(multiprocessing.active_children())
+        segments = own_segments()
+        args = ["sweep", "--jobs", "2", "--quick", "--scale", "0.2"]
+        metrics = tmp_path / "metrics.json"
+        assert main(args + ["--no-progress", "--metrics", str(metrics)]) == 0
+        assert "total:" in capsys.readouterr().out
+        assert set(multiprocessing.active_children()) == children
+        assert own_segments() == segments
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["executor.jobs_parallel"] > 0
+
 
 class TestServeBatch:
     @pytest.fixture
